@@ -56,6 +56,7 @@ from .factors import (
     low_set,
     scan_deficiency,
 )
+from .flow import ab_factor_exists
 from .avoidance import (
     AvoidanceVerdict,
     Counterexample,
@@ -107,6 +108,7 @@ __all__ = [
     "isolated_toughness_bruteforce",
     "threshold",
     # factor engine
+    "ab_factor_exists",
     "DegreeBounds",
     "FactorCertificate",
     "FactorViolation",

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, SearchBudgetExceeded
+from .errors import CapExceeded
 from .factors import (
     DEFAULT_SEARCH_BUDGET,
     FactorCertificate,
@@ -30,6 +30,7 @@ from .factors import (
     low_set,
     scan_deficiency,
 )
+from .flow import ab_factor_exists
 from .graphs import (
     DeletionSpec,
     Graph,
@@ -79,7 +80,10 @@ class AvoidanceVerdict:
     witnesses: tuple = ()
 
     def __post_init__(self):
-        assert (self.counterexample is not None) == (not self.conclusion_holds)
+        if (self.counterexample is not None) == self.conclusion_holds:
+            raise ValueError(
+                "a verdict carries a counterexample exactly when its conclusion fails"
+            )
 
     @property
     def premises_hold(self) -> bool:
@@ -261,7 +265,10 @@ def check_vertex_deletion_all(
     Explicit ``deletions`` restrict the check to chosen n-subsets, e.g.
     the deletion exhibited by the sharpness construction; optional
     ``witnesses`` are candidate violating sets evaluated inside each
-    deleted graph, which refute existence without a global scan.
+    deleted graph, which refute existence without a global scan.  Each
+    chosen deletion is also decided by the double-cover flow, which must
+    refuse wherever a witness violates; a refusal no witness explains is
+    certified by the deficiency scan when G - V' fits ``cap_n``.
     """
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
@@ -276,7 +283,7 @@ def check_vertex_deletion_all(
         witnesses_out = (crit_witness,) if crit_witness else ()
     else:
         conclusion, counterexample, witnesses_out = _vertex_deletion_targeted(
-            g, a, b, n, deletions, witnesses, cap_n, budget
+            g, a, b, n, deletions, witnesses, cap_n
         )
     return AvoidanceVerdict(
         "A", params, premises, conclusion, counterexample, witnesses_out
@@ -309,7 +316,7 @@ def _vertex_deletion_full(g, a, b, n, cap_n, cap_deletions, budget):
     return direct_failure is None, direct_failure, crit_witness
 
 
-def _vertex_deletion_targeted(g, a, b, n, deletions, witnesses, cap_n, budget):
+def _vertex_deletion_targeted(g, a, b, n, deletions, witnesses, cap_n):
     witness_sets = [tuple(sorted(w)) for w in witnesses] if witnesses else []
     tried = tuple(witness_sets)
     for raw in deletions:
@@ -337,29 +344,16 @@ def _vertex_deletion_targeted(g, a, b, n, deletions, witnesses, cap_n, budget):
                     ),
                 )
                 break
+        exists = ab_factor_exists(res.graph, a, b)
         if refuted is None:
-            try:
-                cert = find_ab_factor(res.graph, a, b, budget=budget, cert_cap=0)
-            except SearchBudgetExceeded:
-                raise CapExceeded(
-                    "targeted vertex deletion undecided: no witness violates and "
-                    "the constructive search exceeded its budget"
-                ) from None
-            if not cert.exists:
+            if not exists:
                 refuted = Counterexample(
                     spec, _nonexistence_cert(res.graph, res.original_labels, a, b, cap_n)
                 )
-        else:
-            # witness refutation is exact; confirm with the direct route
-            # whenever the search completes within budget
-            try:
-                cert = find_ab_factor(res.graph, a, b, budget=budget, cert_cap=0)
-            except SearchBudgetExceeded:
-                cert = None
-            if cert is not None and cert.exists:
-                raise RuntimeError(
-                    "witness claims a violation but a factor was constructed"
-                )
+        elif exists:
+            raise RuntimeError(
+                "witness claims a violation but the flow decision finds a factor"
+            )
         if refuted is not None:
             return False, refuted, tried
     return True, None, tried
@@ -554,7 +548,11 @@ def check_edge_avoiding(
     # certificate in G - e at the failing S, where the plain criterion applies
     t_prime = low_set(g_prime, violation_s, a)
     d_prime = delta(g_prime, violation_s, a, b)
-    assert d_prime < 0
+    if d_prime >= 0:
+        raise RuntimeError(
+            f"S={violation_s} falls below rho in G but has deficiency "
+            f"{d_prime} >= 0 in G - e"
+        )
     cert = FactorCertificate(
         False, violation=FactorViolation(violation_s, t_prime, d_prime, 0)
     )

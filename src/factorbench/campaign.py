@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
@@ -475,6 +474,9 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         )
 
     if workers > 1 and pending:
+        # imported here: the pool machinery costs a serial run about 2.5 MiB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_instance, pending, chunksize=4))
     else:

@@ -29,7 +29,7 @@ from .avoidance import (
 from .campaign import CampaignConfig, run_campaign
 from .errors import CapExceeded, GraphFormatError, SearchBudgetExceeded
 from .factors import DEFAULT_SEARCH_BUDGET, check_ab_factor, find_ab_factor, find_star_factor
-from .graphs import build_extremal_H, emit_graph6, parse_graph6
+from .graphs import GRAPH6_MAX_N, build_extremal_H, emit_graph6, parse_graph6
 from .toughness import isolated_toughness, threshold
 
 EXIT_OK = 0
@@ -146,6 +146,11 @@ def _need(args, *names) -> None:
 
 def cmd_extremal(args) -> int:
     w = build_extremal_H(args.m, args.a, args.b, args.n)
+    if w.graph.n > GRAPH6_MAX_N:
+        raise ValueError(
+            f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, "
+            f"H({args.m},{args.a},{args.b},{args.n}) has {w.graph.n}"
+        )
     thr = threshold("A", a=args.a, b=args.b, n=args.n)
     verdict = check_vertex_deletion_all(
         w.graph, args.a, args.b, args.n,
@@ -154,7 +159,8 @@ def cmd_extremal(args) -> int:
         cap_n=args.cap_n,
         budget=args.budget,
     )
-    cert = verdict.counterexample.certificate.violation
+    refutation = verdict.counterexample
+    cert = refutation.certificate.violation if refutation is not None else None
     payload = {
         "params": {"m": args.m, "a": args.a, "b": args.b, "n": args.n},
         "graph6": emit_graph6(w.graph),
@@ -167,14 +173,14 @@ def cmd_extremal(args) -> int:
         "threshold": str(thr),
         "strictlyBelow": w.witness_ratio < thr,
         "v0": list(w.default_v0()),
-        "violation": verdict.counterexample.certificate.to_json_dict(),
-        "identity": {
+        "violation": None if refutation is None else refutation.certificate.to_json_dict(),
+        "identity": None if cert is None else {
             "aT_minus_d": args.b * len(cert.s) - cert.delta,
             "bS": args.b * len(cert.s),
         },
     }
     _print_json(payload)
-    return EXIT_OK
+    return EXIT_OK if refutation is not None else EXIT_NEGATIVE
 
 
 def cmd_campaign(args) -> int:

@@ -2,11 +2,13 @@
 
 The deficiency b|S| - a|T| + d_{G-S}(T), with T the vertices of G-S of
 degree at most a-1, decides [a,b]-factor existence (a < b): the factor
-exists iff the deficiency is nonnegative for every S.  This module houses
-that criterion and its (g, f) generalisation, a constructive backtracking
-finder, an exhaustive oracle kept deliberately independent of the finder,
-star-factor machinery, and the maximal-independent-set / covering-set pair
-search used by the deficiency lower-bound arguments.
+exists iff the deficiency is nonnegative for every S.  Existence is
+decided by max-flow (``flow.ab_factor_exists``); the subset scan of that
+criterion certifies refusals.  This module houses the criterion and its
+(g, f) generalisation, a constructive backtracking finder, an exhaustive
+oracle kept deliberately independent of the finder, star-factor
+machinery, and the maximal-independent-set / covering-set pair search
+used by the deficiency lower-bound arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import CapExceeded, SearchBudgetExceeded
+from .flow import ab_factor_exists
 from .graphs import Graph, isolated_count_mask, vertex_mask
 
 DEFAULT_SCAN_CAP = 16
@@ -247,14 +250,26 @@ def scan_deficiency(
 
 
 def check_ab_factor(g: Graph, a: int, b: int, *, cap_n: int = DEFAULT_SCAN_CAP) -> FactorCertificate:
-    """[a,b]-factor existence by the deficiency criterion (a < b): the
-    factor exists iff no subset S has negative deficiency.  No subgraph is
-    constructed; a failure returns the first violating S."""
+    """[a,b]-factor existence (a < b), decided by the double-cover flow.
+    No subgraph is constructed.  A refusal is certified by the deficiency
+    scan, which returns the first S (size-then-lexicographic) of negative
+    deficiency; ``cap_n`` bounds only that scan."""
     _check_ab(a, b, strict=True)
+    if ab_factor_exists(g, a, b):
+        return FactorCertificate(exists=True)
+    return FactorCertificate(exists=False, violation=_certify_refusal(g, a, b, cap_n))
+
+
+def _certify_refusal(g: Graph, a: int, b: int, cap_n: int) -> FactorViolation:
+    """First violating S for a graph the flow refused.  Finding none means
+    the flow and the criterion disagree, which is a bug, not a verdict."""
     violation = scan_deficiency(g, a, b, cap_n=cap_n)
     if violation is None:
-        return FactorCertificate(exists=True)
-    return FactorCertificate(exists=False, violation=violation)
+        raise RuntimeError(
+            f"flow and deficiency routes disagree: the flow refuses an "
+            f"[{a},{b}]-factor but no S has negative deficiency"
+        )
+    return violation
 
 
 def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> FactorCertificate:
@@ -514,22 +529,24 @@ def brute_force_factor(g: Graph, a: int, b: int, *, max_edges: int = DEFAULT_EDG
 def check_star_factor(g: Graph, m: int, *, cap_n: int = DEFAULT_SCAN_CAP) -> StarCheck:
     """Spanning-star-forest existence (components K_{1,1}..K_{1,m}).
 
-    For m >= 2 this is the isolated-vertex criterion: the factor exists iff
-    i(G-S) <= m|S| for every S (the [1,m] deficiency with d_{G-S}(T) = 0).
-    Single-edge stars (m = 1) are perfect matchings, where counting
-    isolated vertices is not enough (a triangle passes but has none), so
-    that case uses the classical odd-component criterion instead.
+    For m >= 2 this is a [1,m]-factor, decided by the double-cover flow.
+    A refusal is certified by the isolated-vertex criterion, i(G-S) <= m|S|
+    for every S (the [1,m] deficiency with d_{G-S}(T) = 0); ``cap_n``
+    bounds only that scan.  Single-edge stars (m = 1) are perfect
+    matchings, where counting isolated vertices is not enough (a triangle
+    passes but has none), so that case uses the classical odd-component
+    criterion instead.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if g.n > cap_n:
-        raise CapExceeded(f"star-factor scan capped at {cap_n} vertices, got {g.n}")
     if m >= 2:
-        violation = scan_deficiency(g, 1, m, cap_n=cap_n)
-        if violation is None:
+        if ab_factor_exists(g, 1, m):
             return StarCheck(exists=True, m=m)
+        violation = _certify_refusal(g, 1, m, cap_n)
         iso = len(violation.t)
         return StarCheck(exists=False, m=m, witness=violation.s, isolated=iso)
+    if g.n > cap_n:
+        raise CapExceeded(f"star-factor scan capped at {cap_n} vertices, got {g.n}")
     adj = g.adj
     full = g.full_mask
     for k in range(g.n + 1):

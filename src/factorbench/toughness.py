@@ -64,7 +64,8 @@ def isolated_toughness_bruteforce(g: Graph, cap_n: int = DEFAULT_BRUTEFORCE_CAP)
                 best = (ratio, combo, iso)
     # Non-complete graphs always admit some S with i(G-S) >= 2: for any
     # nonadjacent pair u, v, take S = V - {u, v}.
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no S with i(G-S) >= 2 in a non-complete graph")
     return ToughnessReport(best[0], best[1], best[2])
 
 
@@ -123,7 +124,8 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
         return False
 
     extend(0, 0, 0, 0)
-    assert best_val is not None  # non-complete: some nonadjacent pair exists
+    if best_val is None:  # non-complete: some nonadjacent pair exists
+        raise RuntimeError("no independent pair found in a non-complete graph")
     return ToughnessReport(best_val, best_s, best_iso)
 
 

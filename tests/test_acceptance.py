@@ -31,6 +31,7 @@ from factorbench.factors import (
     find_ab_factor,
     find_katerinis_pair,
     find_star_factor,
+    scan_deficiency,
 )
 from factorbench.toughness import (
     isolated_toughness,
@@ -89,13 +90,14 @@ def test_criterion_1_oracle_triangle(small_graphs, random_78):
         for a, b in AB_PAIRS:
             expected = brute_force_factor(g, a, b)
             assert check_ab_factor(g, a, b).exists == expected, (g, a, b)
+            assert (scan_deficiency(g, a, b) is None) == expected, (g, a, b)
             found = find_ab_factor(g, a, b)
             assert found.exists == expected, (g, a, b)
             if found.exists:
                 assert found.verify(g, a, b)
             checked += 1
     print(
-        f"\n[criterion 1] PASS oracle triangle: {checked} checks over "
+        f"\n[criterion 1] PASS oracle square: {checked} checks over "
         f"{len(small_graphs) + len(random_78)} graphs, 0 disagreements "
         f"({time.time() - t0:.1f}s)"
     )
@@ -256,6 +258,8 @@ def test_criterion_8_star_equivalence(small_graphs, random_78):
             constructive = forest is not None
             direct = find_ab_factor(g, 1, m).exists
             assert criterion == constructive == direct, (g, m)
+            if m >= 2:
+                assert (scan_deficiency(g, 1, m) is None) == direct, (g, m)
             if forest is not None:
                 forest.validate(g, m)
             checked += 1

@@ -109,6 +109,54 @@ def test_targeted_mode_on_positive_instance():
     assert verdict.conclusion_holds
 
 
+def test_targeted_mode_needs_no_search_budget():
+    # the largest sharpness instance: the witness refutes and the flow
+    # confirms, with a budget no constructive search could live with
+    w = build_extremal_H(3, 3, 4, 1)
+    verdict = check_vertex_deletion_all(
+        w.graph, 3, 4, 1,
+        deletions=[w.default_v0()], witnesses=[w.clique_small], budget=1,
+    )
+    assert not verdict.conclusion_holds
+    assert verdict.counterexample.certificate.violation.s == w.clique_small
+    # no witness at all: the flow decides the positive instance
+    verdict = check_vertex_deletion_all(
+        complete_graph(6), 2, 3, 1, deletions=[(0,)], budget=1
+    )
+    assert verdict.conclusion_holds
+
+
+def test_targeted_mode_witness_against_flow_raises(monkeypatch):
+    import factorbench.avoidance as avoidance
+
+    monkeypatch.setattr(avoidance, "ab_factor_exists", lambda g, a, b: True)
+    w = build_extremal_H(1, 2, 3, 1)
+    with pytest.raises(RuntimeError, match="witness claims a violation"):
+        check_vertex_deletion_all(
+            w.graph, 2, 3, 1, deletions=[w.default_v0()], witnesses=[w.clique_small]
+        )
+
+
+def test_verdict_invariant_survives_optimised_mode():
+    import os
+    import subprocess
+    import sys
+
+    import factorbench
+
+    src = os.path.dirname(os.path.dirname(factorbench.__file__))
+    code = (
+        "from factorbench.avoidance import AvoidanceVerdict\n"
+        "AvoidanceVerdict('A', {}, (), False, None)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
+
+
 # -- edge deletion / star factors ---------------------------------------------------
 
 

@@ -161,6 +161,42 @@ def test_extremal_subcommand(capsys):
     assert payload["violation"]["S"] == [0]
 
 
+def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
+    # H(3,3,5,2) has 86 vertices, beyond the graph6 short form
+    import factorbench.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the check ran before the size was rejected")
+
+    monkeypatch.setattr(cli, "check_vertex_deletion_all", no_work)
+    code, out, err = run_cli(capsys, ["extremal", "--m", "3", "--a", "3", "--b", "5", "--n", "2"])
+    assert code == 2
+    assert out == ""
+    assert "at most 62 vertices" in err and "86" in err
+
+
+def test_extremal_without_refutation_reports_negative(capsys, monkeypatch):
+    import factorbench.cli as cli
+    from factorbench.avoidance import AvoidanceVerdict
+
+    monkeypatch.setattr(
+        cli, "check_vertex_deletion_all",
+        lambda *args, **kwargs: AvoidanceVerdict("A", {}, (), True, None),
+    )
+    code, out, _ = run_cli(capsys, ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["violation"] is None and payload["identity"] is None
+
+
+def test_factor_decides_beyond_the_scan_cap(tmp_path, capsys):
+    path = tmp_path / "k20.g6"
+    path.write_text(emit_graph6(complete_graph(20)) + "\n")
+    code, out, _ = run_cli(capsys, ["factor", str(path), "--a", "1", "--b", "2"])
+    assert code == 0
+    assert json.loads(out) == {"verdict": "exists"}
+
+
 def test_extremal_ratio_increases_with_m(capsys):
     from fractions import Fraction
 

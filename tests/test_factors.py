@@ -32,7 +32,9 @@ from factorbench.factors import (
     find_katerinis_pair,
     find_star_factor,
     low_set,
+    scan_deficiency,
 )
+from factorbench.flow import ab_factor_exists
 
 
 def all_graphs(n):
@@ -122,6 +124,49 @@ def test_check_ab_factor_rejects_a_equals_b():
 def test_check_ab_factor_cap():
     with pytest.raises(CapExceeded):
         check_ab_factor(Graph(20), 1, 2, cap_n=16)
+
+
+def test_cap_bounds_only_the_refusal_scan():
+    # the flow decides "exists" at any size; only a refusal needs the scan
+    assert check_ab_factor(complete_graph(20), 1, 2, cap_n=16).exists
+    assert check_star_factor(complete_graph(20), 2, cap_n=16).exists
+    with pytest.raises(CapExceeded):
+        check_star_factor(Graph(20), 2, cap_n=16)
+
+
+def test_flow_refusal_without_violation_is_a_route_disagreement(monkeypatch):
+    import factorbench.factors as factors
+
+    monkeypatch.setattr(factors, "ab_factor_exists", lambda g, a, b: False)
+    with pytest.raises(RuntimeError, match="disagree"):
+        check_ab_factor(cycle_graph(4), 1, 2)
+    with pytest.raises(RuntimeError, match="disagree"):
+        check_star_factor(cycle_graph(4), 2)
+
+
+def test_flow_decision_rejects_bad_bounds():
+    for a, b in [(2, 2), (3, 2), (-1, 1)]:
+        with pytest.raises(ValueError, match="0 <= a < b"):
+            ab_factor_exists(cycle_graph(4), a, b)
+
+
+@st.composite
+def small_graph_and_bounds(draw):
+    n = draw(st.integers(0, 7))
+    pairs = list(combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(a + 1, 5))
+    return Graph(n, edges), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graph_and_bounds())
+def test_flow_decision_matches_oracle_and_scan(case):
+    g, a, b = case
+    expected = brute_force_factor(g, a, b)
+    assert ab_factor_exists(g, a, b) == expected
+    assert (scan_deficiency(g, a, b) is None) == expected
 
 
 def test_extremal_h_minus_v0_violates_at_small_clique():
