@@ -44,14 +44,14 @@ DEFAULT_CAP_N = 12
 DEFAULT_CAP_DELETIONS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Premise:
     name: str
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """A failing deleted object together with the certificate refuting the
     factor, in the labels of the original graph.  ``deletion`` is None for
@@ -67,7 +67,7 @@ class Counterexample:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AvoidanceVerdict:
     """Three-valued outcome of one theorem check on one instance:
     premises-failed instances are vacuous rather than counterexamples."""
@@ -526,16 +526,7 @@ def check_edge_avoiding(
     if g.n > cap_n:
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
     g_prime = delete_edges(g, [(u, v)])
-    violation_s = None
-    for k in range(g.n + 1):
-        if violation_s is not None:
-            break
-        for combo in combinations(range(g.n), k):
-            d_g = delta(g, combo, a, b)
-            penalty = _rho_value(g, g_prime, (u, v), combo, a)
-            if d_g < penalty:
-                violation_s = combo
-                break
+    violation_s = _first_rho_violation(g, u, v, a, b)
     direct = find_ab_factor(g_prime, a, b, budget=budget, cert_cap=0)
     if (violation_s is None) != direct.exists:
         raise RuntimeError(
@@ -565,23 +556,44 @@ def check_edge_avoiding(
     )
 
 
-def _rho_value(g: Graph, g_prime: Graph, e, s, a: int) -> int:
-    u, v = e
-    s_mask = 0
-    for x in s:
-        s_mask |= 1 << x
-    keep = g.full_mask & ~s_mask
-    if s_mask >> u & 1 or s_mask >> v & 1:
-        return 0
-    du = (g_prime.adj[u] & keep).bit_count()
-    dv = (g_prime.adj[v] & keep).bit_count()
-    u_low = du <= a - 1
-    v_low = dv <= a - 1
-    if u_low and v_low:
-        return 2
-    if u_low or v_low:
-        return 1
-    return 0
+def _first_rho_violation(
+    g: Graph, u: int, v: int, a: int, b: int
+) -> tuple[int, ...] | None:
+    """First S (size-then-lexicographic order) whose deficiency in G falls
+    below rho(S) for the edge uv, or None.  One pass over G - S per subset
+    gives the deficiency; rho is read only when that is below 2, since
+    rho <= 2.  With u, v outside S their degrees in (G-e)-S are their
+    degrees in G-S minus one."""
+    adj = g.adj
+    full = g.full_mask
+    n = g.n
+    uv = 1 << u | 1 << v
+    for k in range(n + 1):
+        bk = b * k
+        for combo in combinations(range(n), k):
+            smask = 0
+            for x in combo:
+                smask |= 1 << x
+            keep = full & ~smask
+            d = bk
+            rest = keep
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                dx = (adj[bit.bit_length() - 1] & keep).bit_count()
+                if dx < a:
+                    d += dx - a
+            if d >= 2:
+                continue
+            penalty = 0
+            if not smask & uv:
+                # x in T' iff deg_{G-S}(x) - 1 <= a - 1
+                penalty = ((adj[u] & keep).bit_count() <= a) + (
+                    (adj[v] & keep).bit_count() <= a
+                )
+            if d < penalty:
+                return combo
+    return None
 
 
 # -- hierarchy and pair-deletion statements ----------------------------------------------
@@ -648,14 +660,20 @@ def check_theorem_E(
     b: int,
     *,
     cap_n: int = DEFAULT_CAP_N,
+    cap_deletions: int = DEFAULT_CAP_DELETIONS,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """If the minimum degree reaches a+2 and G minus any vertex pair still
-    has an [a,b]-factor, then G - e has one for every edge e."""
+    has an [a,b]-factor, then G - e has one for every edge e.  The C(n,2)
+    pair deletions of the premise must fit ``cap_deletions``; the |E| <=
+    C(n,2) edge deletions of the conclusion then fit as well."""
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     if g.n > cap_n:
         raise CapExceeded(f"enumeration capped at {cap_n} vertices, got {g.n}")
+    total = comb(g.n, 2)
+    if total > cap_deletions:
+        raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
     params = {"a": a, "b": b}
     premises = theorem_premises("E", g, a=a, b=b, budget=budget)
     counterexample = None

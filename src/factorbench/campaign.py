@@ -317,7 +317,8 @@ def _evaluate_instance(payload: dict) -> dict:
             )
         elif theorem == "E":
             verdict = check_theorem_E(
-                g, params["a"], params["b"], cap_n=cap_n, budget=budget
+                g, params["a"], params["b"],
+                cap_n=cap_n, cap_deletions=cap_deletions, budget=budget,
             )
         elif theorem == "D1":
             verdict = check_lemma_D1(

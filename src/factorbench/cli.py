@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .avoidance import (
@@ -186,15 +187,9 @@ def cmd_extremal(args) -> int:
 def cmd_campaign(args) -> int:
     config = CampaignConfig.from_file(args.config)
     if args.seed is not None:
-        config = CampaignConfig(**{
-            **{f: getattr(config, f) for f in config.__dataclass_fields__},
-            "seed_list": (args.seed,),
-        })
+        config = replace(config, seed_list=(args.seed,))
     if args.output_json:
-        config = CampaignConfig(**{
-            **{f: getattr(config, f) for f in config.__dataclass_fields__},
-            "output_json": args.output_json,
-        })
+        config = replace(config, output_json=args.output_json)
     report = run_campaign(config, workers=args.workers)
     agg = report.aggregates
     print(

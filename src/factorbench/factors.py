@@ -39,7 +39,7 @@ class FactorViolation(NamedTuple):
     bound: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorCertificate:
     """Either an explicit factor (edge subset meeting the degree bounds at
     every vertex) or a violating set.  A bare negative verdict (both fields

@@ -18,7 +18,7 @@ from .graphs import Graph, isolated_count_mask, vertex_mask
 DEFAULT_BRUTEFORCE_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToughnessReport:
     """Exact value with an attaining set.  For non-complete graphs the
     witness satisfies i(G - witness) >= 2 and value = |witness|/i; for
@@ -80,8 +80,15 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
     disjoint, hence i(G - N(I)) >= |I| >= 2 for every candidate.
 
     Branches are pruned when even the best conceivable extension ratio
-    |N| / (n - |N|) already exceeds the incumbent; ties in value are broken
-    by the lexicographically smallest witness.
+    |N| / (n - |N|) strictly exceeds the incumbent, so every optimal N(I)
+    is still visited.  The witness is therefore canonical: among the sets
+    N(I) of minimum ratio it is the lexicographically smallest sorted
+    tuple, whatever the visit order.
+
+    The search compares ratios as cross-multiplied integers, holding the
+    incumbent as the pair (num, den); the one `Fraction` is built at
+    return.  The isolated count of G - N(I) takes I as isolated and tests
+    only the other vertices of degree at most |N(I)|.
     """
     if g.n == 0:
         raise ValueError("isolated toughness is undefined on the empty graph")
@@ -90,43 +97,52 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
     n = g.n
     adj = g.adj
     full = g.full_mask
-    best_val: Fraction | None = None
-    best_s: tuple[int, ...] | None = None
-    best_iso = 0
+    # deg_at_most[d]: vertices of degree <= d; only these can be isolated
+    # once |N| = d
+    deg_at_most = [0] * (n + 1)
+    for x in range(n):
+        deg_at_most[adj[x].bit_count()] |= 1 << x
+    for d in range(1, n + 1):
+        deg_at_most[d] |= deg_at_most[d - 1]
+    # incumbent ratio num/den, den = i(G - best_s); den == 0 means none yet
+    num, den = 0, 0
+    best_s: tuple[int, ...] = ()
 
     def extend(i_mask: int, nbr_mask: int, start: int, size: int) -> bool:
         """Grow I from ``start``.  Returns True to abort (found ratio 0)."""
-        nonlocal best_val, best_s, best_iso
+        nonlocal num, den, best_s
         scount = nbr_mask.bit_count()
-        if best_val is not None and scount < n:
-            if Fraction(scount, n - scount) > best_val:
-                return False  # every extension is strictly worse
+        if den and scount * den > num * (n - scount):
+            return False  # every extension is strictly worse
         for v in range(start, n):
             if adj[v] & i_mask:
                 continue  # keep I independent
             ni = i_mask | 1 << v
             nn = nbr_mask | adj[v]
-            if size + 1 >= 2:
-                iso = isolated_count_mask(adj, full & ~nn)
-                ratio = Fraction(nn.bit_count(), iso)
-                if best_val is None or ratio <= best_val:
+            if size:
+                keep = full & ~nn
+                k = nn.bit_count()
+                iso = size + 1  # I itself is isolated in G - N(I)
+                rest = keep & ~ni & deg_at_most[k]
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if not adj[bit.bit_length() - 1] & keep:
+                        iso += 1
+                if not den or k * den <= num * iso:
                     s_tuple = tuple(u for u in range(n) if nn >> u & 1)
-                    if (
-                        best_val is None
-                        or ratio < best_val
-                        or s_tuple < best_s
-                    ):
-                        best_val, best_s, best_iso = ratio, s_tuple, iso
-                        if best_val == 0:
+                    if not den or k * den < num * iso or s_tuple < best_s:
+                        num, den, best_s = k, iso, s_tuple
+                        if k == 0:
                             return True  # global minimum; unique witness S = {}
             if extend(ni, nn, v + 1, size + 1):
                 return True
         return False
 
     extend(0, 0, 0, 0)
-    if best_val is None:  # non-complete: some nonadjacent pair exists
+    if not den:  # non-complete: some nonadjacent pair exists
         raise RuntimeError("no independent pair found in a non-complete graph")
-    return ToughnessReport(best_val, best_s, best_iso)
+    return ToughnessReport(Fraction(num, den), best_s, den)
 
 
 def threshold(name: str, a: int | None = None, b: int | None = None,

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factorbench import (
     CapExceeded,
@@ -17,7 +19,9 @@ from factorbench import (
     path_graph,
     star_graph,
 )
+from factorbench import avoidance
 from factorbench.avoidance import (
+    _first_rho_violation,
     check_edge_avoiding,
     check_edge_deletion_star,
     check_lemma_D1,
@@ -273,6 +277,38 @@ def test_edge_avoiding_agrees_with_direct_exhaustively():
                 assert verdict.conclusion_holds == direct
 
 
+def reference_rho_violation(g, e, a, b):
+    """First S in size-then-lexicographic order with delta(S) < rho(S),
+    from the public delta and rho."""
+    for k in range(g.n + 1):
+        for s in combinations(range(g.n), k):
+            if delta(g, s, a, b) < rho(g, e, s, a, b).value:
+                return s
+    return None
+
+
+@st.composite
+def graph_edge_and_bounds(draw):
+    n = draw(st.integers(2, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = [p for p in pairs if draw(st.booleans())] or [(0, 1)]
+    e = draw(st.sampled_from(edges))
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(a + 1, 4))
+    return Graph(n, edges), e, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_edge_and_bounds())
+@example((complete_graph(4), (0, 1), 2, 3))  # no S violates
+@example((cycle_graph(4), (0, 1), 2, 3))  # S = {} violates
+def test_fused_rho_scan_matches_delta_and_rho(case):
+    g, (u, v), a, b = case
+    assert _first_rho_violation(g, u, v, a, b) == reference_rho_violation(
+        g, (u, v), a, b
+    )
+
+
 # -- theorem E ---------------------------------------------------------------------------
 
 
@@ -295,6 +331,24 @@ def test_theorem_e_proof_step_single_vertex_sets():
     for v in range(7):
         assert low_set(g, [v], 2) == ()
         assert delta(g, [v], 2, 3) == 3 >= 2
+
+
+def test_theorem_e_cap_is_checked_before_premises(monkeypatch):
+    def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("premises evaluated before the deletion cap")
+
+    monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
+    g = complete_graph(7)  # 21 vertex pairs and 21 edges
+    with pytest.raises(CapExceeded, match="21 deletions exceed the cap of 20"):
+        check_theorem_E(g, 2, 3, cap_deletions=20)
+    sparse = cycle_graph(7)  # the pair deletions count even with 7 edges
+    with pytest.raises(CapExceeded, match="21 deletions"):
+        check_theorem_E(sparse, 2, 3, cap_deletions=20)
+
+
+def test_theorem_e_cap_admits_exact_fit():
+    verdict = check_theorem_E(complete_graph(7), 2, 3, cap_deletions=21)
+    assert verdict.conclusion_holds
 
 
 # -- theorem D ---------------------------------------------------------------------------

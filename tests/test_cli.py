@@ -233,3 +233,37 @@ def test_campaign_bad_config_exit(tmp_path, capsys):
     cfg.write_text("mystery = 1\n")
     code, _, err = run_cli(capsys, ["campaign", str(cfg)])
     assert code == 2 and "mystery" in err
+
+
+def _d1_config(tmp_path, report_name):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "theorems = D1\n"
+        "n_min = 6\nn_max = 7\n"
+        "p_list = 3/4\n"
+        "seed_list = 1,2,3,4,5,6\n"
+        "quota = 2\n"
+        "D1.ab = 2:3\nD1.n = 1\nD1.k = 2\n"
+        f"output_json = {tmp_path / report_name}\n"
+    )
+    return cfg
+
+
+def test_campaign_seed_overrides_the_seed_list(tmp_path, capsys):
+    cfg = _d1_config(tmp_path, "r.json")
+    code, _, _ = run_cli(capsys, ["campaign", str(cfg), "--seed", "5"])
+    assert code == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["instances"] and {r["seed"] for r in report["instances"]} == {5}
+    assert "seed_list = 5\n" in report["header"]["config"]
+
+
+def test_campaign_output_json_overrides_the_report_path(tmp_path, capsys):
+    cfg = _d1_config(tmp_path, "configured.json")
+    override = tmp_path / "override.json"
+    code, _, _ = run_cli(capsys, ["campaign", str(cfg), "--output-json", str(override)])
+    assert code == 0
+    assert not (tmp_path / "configured.json").exists()
+    report = json.loads(override.read_text())
+    assert report["aggregates"]["total"] == report["aggregates"]["verified"]
+    assert f"output_json = {override}" in report["header"]["config"]

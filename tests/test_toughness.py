@@ -181,6 +181,72 @@ def test_extremal_h_toughness_upper_bound():
     assert rep.value == isolated_toughness_bruteforce(w.graph).value
 
 
+# -- witness contract -----------------------------------------------------------
+
+
+def reference_triple(g):
+    """(value, witness, isolated_at_witness) by enumeration: the minimum of
+    |N(I)| / i(G - N(I)) over independent I with |I| >= 2, ties broken by
+    the lexicographically smallest sorted N(I)."""
+    if g.is_complete():
+        return Fraction(g.n - 1), (), 0
+    best = None
+    for k in range(2, g.n + 1):
+        for i_set in combinations(range(g.n), k):
+            if any(g.has_edge(x, y) for x, y in combinations(i_set, 2)):
+                continue
+            s = tuple(sorted({u for x in i_set for u in g.neighbors(x)}))
+            iso = isolated_count(g, s)
+            key = (Fraction(len(s), iso), s)
+            if best is None or key < best[0]:
+                best = (key, iso)
+    (value, s), iso = best
+    return value, s, iso
+
+
+@st.composite
+def graphs_up_to_9(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_up_to_9())
+def test_witness_is_lexicographically_smallest_optimal_neighbourhood(g):
+    rep = isolated_toughness(g)
+    assert (rep.value, rep.witness, rep.isolated_at_witness) == reference_triple(g)
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        ((1, 2, 3, 1), (Fraction(5, 4), (0, 5, 6, 7, 8), 4)),
+        ((2, 2, 3, 1), (Fraction(9, 7), (0, 1, 9, 10, 11, 12, 13, 14, 15), 7)),
+        ((3, 2, 3, 1),
+         (Fraction(13, 10), (0, 1, 2, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22), 10)),
+        ((1, 2, 4, 2), (Fraction(6, 5), (0, 6, 7, 8, 9, 10), 5)),
+        ((2, 2, 4, 2),
+         (Fraction(11, 9), (0, 1, 11, 12, 13, 14, 15, 16, 17, 18, 19), 9)),
+        ((3, 2, 4, 2),
+         (Fraction(16, 13),
+          (0, 1, 2, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28), 13)),
+        ((1, 3, 4, 1), (Fraction(7, 5), (0, 1, 7, 8, 9, 10, 11), 5)),
+        ((2, 3, 4, 1),
+         (Fraction(13, 9), (0, 1, 2, 3, 13, 14, 15, 16, 17, 18, 19, 20, 21), 9)),
+        ((3, 3, 4, 1),
+         (Fraction(19, 13),
+          (0, 1, 2, 3, 4, 5, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31),
+          13)),
+    ],
+)
+def test_extremal_h_toughness_triples_are_pinned(params, expected):
+    g = build_extremal_H(*params).graph
+    rep = isolated_toughness(g)
+    assert (rep.value, rep.witness, rep.isolated_at_witness) == expected
+    assert rep.verify(g)
+
+
 # -- thresholds -----------------------------------------------------------------
 
 
