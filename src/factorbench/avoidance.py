@@ -234,7 +234,7 @@ def _nonexistence_cert(g_del: Graph, labels, a: int, b: int, cap_n: int) -> Fact
     if a < b and g_del.n <= cap_n:
         cert = check_ab_factor(g_del, a, b, cap_n=cap_n)
         if cert.exists:  # pragma: no cover - routes cannot disagree
-            raise AssertionError("criterion contradicts constructive search")
+            raise RuntimeError("criterion contradicts constructive search")
         return FactorCertificate(False, violation=_lift_violation(cert.violation, labels))
     return FactorCertificate(False)
 
@@ -515,9 +515,13 @@ def check_edge_avoiding(
     cap_n: int = DEFAULT_CAP_N,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
-    """Does G have an [a,b]-factor avoiding the fixed edge e?  Criterion
-    route: deficiency of G at every S must reach the penalty rho(S).
-    Direct route: find a factor of G - e.  The two must agree."""
+    """Does G have an [a,b]-factor avoiding the fixed edge e?
+
+    The double-cover flow on G - e decides.  The direct route, a factor
+    of G - e found by search, must agree, and a factor it finds is
+    re-verified.  A refusal is certified by the criterion route: the
+    first S (size-then-lexicographic) whose deficiency in G falls below
+    the penalty rho(S), reported with its deficiency in G - e."""
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
@@ -525,16 +529,23 @@ def check_edge_avoiding(
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
     if g.n > cap_n:
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
+    params = {"a": a, "b": b, "edge": [u, v]}
     g_prime = delete_edges(g, [(u, v)])
-    violation_s = _first_rho_violation(g, u, v, a, b)
+    exists = ab_factor_exists(g_prime, a, b)
     direct = find_ab_factor(g_prime, a, b, budget=budget, cert_cap=0)
-    if (violation_s is None) != direct.exists:
-        raise RuntimeError(
-            f"criterion and direct routes disagree for edge ({u}, {v})"
-        )
+    if exists != direct.exists:
+        raise RuntimeError(f"flow and direct routes disagree for edge ({u}, {v})")
+    if exists:
+        if not direct.verify(g_prime, a, b):
+            raise RuntimeError(
+                f"the direct route's factor of G - ({u}, {v}) fails verification"
+            )
+        return AvoidanceVerdict("LemmaH", params, (), True, None)
+    violation_s = _first_rho_violation(g, u, v, a, b)
     if violation_s is None:
-        return AvoidanceVerdict(
-            "LemmaH", {"a": a, "b": b, "edge": [u, v]}, (), True, None
+        raise RuntimeError(
+            f"criterion and flow routes disagree for edge ({u}, {v}): the flow "
+            f"refuses an [{a},{b}]-factor but no S falls below rho"
         )
     # certificate in G - e at the failing S, where the plain criterion applies
     t_prime = low_set(g_prime, violation_s, a)
@@ -548,11 +559,7 @@ def check_edge_avoiding(
         False, violation=FactorViolation(violation_s, t_prime, d_prime, 0)
     )
     return AvoidanceVerdict(
-        "LemmaH",
-        {"a": a, "b": b, "edge": [u, v]},
-        (),
-        False,
-        Counterexample(DeletionSpec.edge(u, v), cert),
+        "LemmaH", params, (), False, Counterexample(DeletionSpec.edge(u, v), cert)
     )
 
 

@@ -17,6 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from . import __version__
@@ -272,8 +273,14 @@ def _parse_value(name, text):
 # -- evaluation -----------------------------------------------------------------
 
 
-def _premises_hold(cell: Cell, g, budget: int) -> bool:
-    prem = theorem_premises(cell.theorem, g, budget=budget, **cell.params)
+def _premises_hold(cell: Cell, g, budget: int, cap_n: int, cap_deletions: int) -> bool:
+    """Rejection-sampling filter.  An E draw beyond the caps skips the
+    C(n,2) pair deletions and is kept on its minimum degree alone; its
+    evaluation then reports it capped, before any premise work."""
+    with_pairs = g.n <= cap_n and comb(g.n, 2) <= cap_deletions
+    prem = theorem_premises(
+        cell.theorem, g, budget=budget, with_pair_deletions=with_pairs, **cell.params
+    )
     return all(p.holds for p in prem)
 
 
@@ -445,7 +452,9 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                         break
                     draws += 1
                     g = generate_random(ng, p, seed)
-                    if not _premises_hold(cell, g, config.budget):
+                    if not _premises_hold(
+                        cell, g, config.budget, config.cap_n, config.cap_deletions
+                    ):
                         rejected += 1
                         continue
                     kept += 1

@@ -355,7 +355,7 @@ def find_ab_factor(
     if a < b and g.n <= cert_cap:
         cert = check_ab_factor(g, a, b, cap_n=cert_cap)
         if cert.exists:  # pragma: no cover - the two routes cannot disagree
-            raise AssertionError("criterion contradicts exhaustive search")
+            raise RuntimeError("criterion contradicts exhaustive search")
         return cert
     return FactorCertificate(exists=False)
 

@@ -21,7 +21,11 @@ from factorbench import (
     generate_random,
     isolated_count,
 )
-from factorbench.avoidance import check_edge_avoiding, check_vertex_deletion_all
+from factorbench.avoidance import (
+    _first_rho_violation,
+    check_edge_avoiding,
+    check_vertex_deletion_all,
+)
 from factorbench.campaign import CampaignConfig, run_campaign
 from factorbench.factors import (
     brute_force_factor,
@@ -208,9 +212,14 @@ def test_criterion_6_edge_avoidance_equivalence(small_graphs):
             continue
         for e in g.edges:
             for a, b in [(2, 3), (1, 2)]:
-                # the check runs the deficiency-vs-penalty criterion and the
-                # constructive route on G-e, and raises on any disagreement
+                # the check decides by flow on G-e, confirms by the
+                # constructive route and raises on any disagreement; it runs
+                # the deficiency-vs-penalty criterion only to certify a
+                # refusal, so Lemma H itself is checked here on every instance
                 verdict = check_edge_avoiding(g, e, a, b)
+                assert (
+                    _first_rho_violation(g, *e, a, b) is None
+                ) == verdict.conclusion_holds
                 if not verdict.conclusion_holds:
                     cert = verdict.counterexample.certificate.violation
                     g_minus_e = delete_edges(g, [e])

@@ -33,7 +33,13 @@ from factorbench.avoidance import (
     rho,
     theorem_premises,
 )
-from factorbench.factors import delta, find_ab_factor, low_set
+from factorbench.factors import (
+    FactorCertificate,
+    brute_force_factor,
+    delta,
+    find_ab_factor,
+    low_set,
+)
 from factorbench.toughness import threshold
 
 
@@ -275,6 +281,8 @@ def test_edge_avoiding_agrees_with_direct_exhaustively():
                     Graph(g.n, [x for x in g.edges if x != e]), a, b
                 ).exists
                 assert verdict.conclusion_holds == direct
+                # Lemma H: the rho criterion agrees, also where the check skips it
+                assert (_first_rho_violation(g, *e, a, b) is None) == direct
 
 
 def reference_rho_violation(g, e, a, b):
@@ -307,6 +315,48 @@ def test_fused_rho_scan_matches_delta_and_rho(case):
     assert _first_rho_violation(g, u, v, a, b) == reference_rho_violation(
         g, (u, v), a, b
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_edge_and_bounds())
+def test_edge_avoiding_matches_oracle_and_reference_scan(case):
+    g, e, a, b = case
+    verdict = check_edge_avoiding(g, e, a, b)
+    g_minus_e = Graph(g.n, [x for x in g.edges if x != e])
+    assert verdict.conclusion_holds == brute_force_factor(
+        g_minus_e, a, b, max_edges=g_minus_e.edge_count
+    )
+    if not verdict.conclusion_holds:
+        cert = verdict.counterexample.certificate
+        assert cert.violation.s == reference_rho_violation(g, e, a, b)
+        assert cert.verify(g_minus_e, a, b)
+
+
+@pytest.mark.parametrize(
+    "g, forced",
+    [(complete_graph(4), False), (cycle_graph(4), True)],
+    ids=["K4-flow-refuses", "C4-flow-accepts"],
+)
+def test_edge_avoiding_flow_against_direct_raises(monkeypatch, g, forced):
+    monkeypatch.setattr(avoidance, "ab_factor_exists", lambda g, a, b: forced)
+    with pytest.raises(RuntimeError, match="flow and direct routes disagree"):
+        check_edge_avoiding(g, (0, 1), 2, 3)
+
+
+def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
+    monkeypatch.setattr(avoidance, "ab_factor_exists", lambda g, a, b: False)
+    monkeypatch.setattr(
+        avoidance, "find_ab_factor", lambda g, a, b, **kw: FactorCertificate(False)
+    )
+    with pytest.raises(RuntimeError, match="criterion and flow routes disagree"):
+        check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
+
+
+def test_edge_avoiding_rejects_an_invalid_direct_factor(monkeypatch):
+    bogus = FactorCertificate(True, factor_edges=((0, 1),))  # the avoided edge
+    monkeypatch.setattr(avoidance, "find_ab_factor", lambda g, a, b, **kw: bogus)
+    with pytest.raises(RuntimeError, match="fails verification"):
+        check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
 
 # -- theorem E ---------------------------------------------------------------------------

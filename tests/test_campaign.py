@@ -160,3 +160,25 @@ def test_campaign_report_certificates_re_verify():
 
 def test_cell_labels_are_stable():
     assert Cell("A", {"a": 1, "b": 2, "n": 1}).label() == "A(a=1,b=2,n=1)"
+
+
+def test_over_cap_theorem_e_draws_skip_pair_deletions(monkeypatch):
+    import factorbench.avoidance as avoidance
+
+    def no_pair_deletions(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("pair deletions enumerated beyond the cap")
+
+    monkeypatch.setattr(avoidance, "_pair_deletion_premise", no_pair_deletions)
+    config = small_config(
+        theorems=("E",),
+        n_min=7,
+        n_max=8,
+        p_list=(Fraction(17, 20),),
+        quota=2,
+        cap_deletions=20,  # C(7,2) = 21 and C(8,2) = 28 pair deletions
+    )
+    report = run_campaign(config)
+    assert report.aggregates["capped"] == report.aggregates["total"] == 2
+    for row in report.instances:
+        assert row["outcome"] == "capped"
+        assert "exceed the cap of 20" in row["error"]
