@@ -16,7 +16,6 @@ from .graphs import (
     ExtremalWitness,
     Graph,
     build_extremal_H,
-    build_graph,
     complete_graph,
     cycle_graph,
     delete,
@@ -88,7 +87,6 @@ __all__ = [
     "ExtremalWitness",
     "Graph",
     "build_extremal_H",
-    "build_graph",
     "complete_graph",
     "cycle_graph",
     "delete",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded
 from .factors import (
@@ -140,6 +140,105 @@ def _toughness_premise(g: Graph, thr, tag: str) -> Premise:
     )
 
 
+def _degree_and_toughness(tag: str):
+    """Premises of A, C and D1: minimum degree a+n and the tag's
+    toughness threshold."""
+
+    def premises(g: Graph, *, a, b, n, k, **_) -> tuple[Premise, ...]:
+        return (
+            _min_degree_premise(g, a + n),
+            _toughness_premise(g, threshold(tag, a=a, b=b, n=n, k=k), tag),
+        )
+
+    return premises
+
+
+def _star_premises(g: Graph, *, m, n, **_) -> tuple[Premise, ...]:
+    in_range = 1 <= n and 2 * n <= m
+    premises = [
+        Premise("n_range", in_range, f"requires 1 <= n <= m/2: n={n}, m={m}"),
+        _min_degree_premise(g, 1 + n),
+    ]
+    if m > n:
+        # Fraction(1, m-n) equals threshold("B") whenever n is in range
+        premises.append(_toughness_premise(g, Fraction(1, m - n), "B"))
+    else:
+        premises.append(
+            Premise("toughness", False, f"threshold 1/(m-n) undefined for m={m}, n={n}")
+        )
+    return tuple(premises)
+
+
+def _pair_premises(
+    g: Graph, *, a, b, budget, with_pair_deletions, **_
+) -> tuple[Premise, ...]:
+    min_deg = _min_degree_premise(g, a + 2)
+    if not with_pair_deletions:
+        return (min_deg,)
+    if min_deg.holds:
+        return (min_deg, _pair_deletion_premise(g, a, b, budget))
+    return (
+        min_deg,
+        Premise(
+            "pair_deletions", False, "not evaluated: the minimum-degree premise already fails"
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One statement as the campaign and the CLI run it.
+
+    ``check`` names the check function of this module.  It is looked up
+    when ``run`` is called, so a replaced module attribute is the one
+    that runs.  ``params`` are its positional parameters after the graph
+    and ``limits`` the caps it takes by keyword.  ``premises`` gives the
+    recorded hypotheses for ``theorem_premises``.  ``axes`` is the
+    campaign grid, empty for a statement the campaign does not run: the
+    config field ``<tag>_<axis>`` lists the values, ``ab`` gives a and b
+    together, and ``k`` may be the symbolic ``b``.  ``in_grid`` drops
+    cells whose parameters no graph can satisfy.  ``mode`` is the
+    ``avoid --mode`` that runs the statement, if any.
+    """
+
+    tag: str
+    check: str
+    params: tuple[str, ...]
+    limits: tuple[str, ...]
+    premises: Callable[..., tuple[Premise, ...]]
+    axes: tuple[str, ...] = ()
+    in_grid: Callable[[dict], bool] = lambda params: True
+    mode: str | None = None
+
+    def run(self, g: Graph, params: dict, **limits) -> AvoidanceVerdict:
+        check = globals()[self.check]
+        return check(
+            g, *(params[p] for p in self.params), **{k: limits[k] for k in self.limits}
+        )
+
+
+_CAPS = ("cap_n", "cap_deletions", "budget")
+
+THEOREMS = {
+    t.tag: t
+    for t in (
+        Theorem("A", "check_vertex_deletion_all", ("a", "b", "n"), _CAPS,
+                _degree_and_toughness("A"), ("ab", "n"), mode="vertices"),
+        Theorem("B", "check_edge_deletion_star", ("m", "n"), _CAPS, _star_premises,
+                ("m", "n"), lambda p: 2 * p["n"] <= p["m"], mode="edges"),
+        Theorem("C", "check_matching_deletion", ("a", "b", "n"), _CAPS,
+                _degree_and_toughness("C"), ("ab", "n"), mode="matching"),
+        Theorem("D", "check_theorem_D", ("a", "b", "n"), _CAPS,
+                lambda g, *, a, n, **_: (_min_degree_premise(g, a + n),), ("ab", "n")),
+        Theorem("E", "check_theorem_E", ("a", "b"), _CAPS, _pair_premises, ("ab",)),
+        Theorem("D1", "check_lemma_D1", ("a", "b", "n", "k"), ("cap_n",),
+                _degree_and_toughness("D1"), ("ab", "n", "k")),
+        Theorem("LemmaH", "check_edge_avoiding", ("edge", "a", "b"), ("cap_n", "budget"),
+                lambda g, **_: (), mode="edge"),
+    )
+}
+
+
 def theorem_premises(
     tag: str,
     g: Graph,
@@ -153,53 +252,11 @@ def theorem_premises(
     with_pair_deletions: bool = True,
 ) -> tuple[Premise, ...]:
     """The recorded hypotheses of one named statement on one graph."""
-    if tag == "A":
-        return (
-            _min_degree_premise(g, a + n),
-            _toughness_premise(g, threshold("A", a=a, b=b, n=n), "A"),
-        )
-    if tag == "B":
-        in_range = 1 <= n and 2 * n <= m
-        premises = [
-            Premise("n_range", in_range, f"requires 1 <= n <= m/2: n={n}, m={m}"),
-            _min_degree_premise(g, 1 + n),
-        ]
-        if m > n:
-            # Fraction(1, m-n) equals threshold("B") whenever n is in range
-            premises.append(_toughness_premise(g, Fraction(1, m - n), "B"))
-        else:
-            premises.append(
-                Premise("toughness", False, f"threshold 1/(m-n) undefined for m={m}, n={n}")
-            )
-        return tuple(premises)
-    if tag == "C":
-        return (
-            _min_degree_premise(g, a + n),
-            _toughness_premise(g, threshold("C", a=a, b=b, n=n), "C"),
-        )
-    if tag == "D":
-        return (_min_degree_premise(g, a + n),)
-    if tag == "E":
-        min_deg = _min_degree_premise(g, a + 2)
-        premises = [min_deg]
-        if with_pair_deletions:
-            if min_deg.holds:
-                premises.append(_pair_deletion_premise(g, a, b, budget))
-            else:
-                premises.append(
-                    Premise(
-                        "pair_deletions",
-                        False,
-                        "not evaluated: the minimum-degree premise already fails",
-                    )
-                )
-        return tuple(premises)
-    if tag == "D1":
-        return (
-            _min_degree_premise(g, a + n),
-            _toughness_premise(g, threshold("D1", a=a, b=b, n=n, k=k), "D1"),
-        )
-    raise ValueError(f"unknown theorem tag {tag!r}")
+    if tag not in THEOREMS:
+        raise ValueError(f"unknown theorem tag {tag!r}")
+    return THEOREMS[tag].premises(
+        g, a=a, b=b, n=n, m=m, k=k, budget=budget, with_pair_deletions=with_pair_deletions
+    )
 
 
 def _pair_deletion_premise(g: Graph, a: int, b: int, budget: int) -> Premise:

@@ -17,6 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import NamedTuple
 
@@ -24,20 +25,14 @@ from . import __version__
 from .avoidance import (
     DEFAULT_CAP_DELETIONS,
     DEFAULT_CAP_N,
-    check_edge_deletion_star,
-    check_lemma_D1,
-    check_matching_deletion,
-    check_theorem_D,
-    check_theorem_E,
+    THEOREMS,
     check_vertex_deletion_all,
     theorem_premises,
 )
 from .errors import CapExceeded, SearchBudgetExceeded
 from .factors import DEFAULT_SEARCH_BUDGET
-from .graphs import build_extremal_H, emit_graph6, generate_random, parse_graph6
+from .graphs import GRAPH6_MAX_N, build_extremal_H, emit_graph6, generate_random, parse_graph6
 from .toughness import threshold
-
-_KNOWN_THEOREMS = ("A", "B", "C", "D", "E", "D1")
 
 
 class Cell(NamedTuple):
@@ -83,7 +78,7 @@ class CampaignConfig:
 
     def validate(self) -> None:
         for t in self.theorems:
-            if t not in _KNOWN_THEOREMS:
+            if t not in THEOREMS or not THEOREMS[t].axes:
                 raise ValueError(f"config field 'theorems': unknown theorem {t!r}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError("config field 'n_min'/'n_max': need 1 <= n_min <= n_max")
@@ -92,59 +87,47 @@ class CampaignConfig:
                 raise ValueError(f"config field 'p_list': {p} outside [0, 1]")
         if self.quota < 1:
             raise ValueError("config field 'quota': must be >= 1")
-        for name in ("a_ab", "c_ab", "d_ab", "e_ab", "d1_ab"):
-            for a, b in getattr(self, name):
-                if not 1 <= a < b:
-                    raise ValueError(
-                        f"config field '{_FIELD_TO_KEY[name]}': need 1 <= a < b, got {a}:{b}"
-                    )
-        for k in self.d1_k:
-            if k != "b" and (not isinstance(k, int) or k < 2):
-                raise ValueError(f"config field 'D1.k': need an integer >= 2 or 'b', got {k}")
+        for f in fields(self):
+            key = _config_key(f.name)
+            axis = key.partition(".")[2]
+            if axis == "ab":
+                for a, b in getattr(self, f.name):
+                    if not 1 <= a < b:
+                        raise ValueError(f"config field '{key}': need 1 <= a < b, got {a}:{b}")
+            elif axis == "k":
+                for k in getattr(self, f.name):
+                    if k != "b" and (not isinstance(k, int) or k < 2):
+                        raise ValueError(
+                            f"config field '{key}': need an integer >= 2 or 'b', got {k}"
+                        )
         for quad in self.extremal:
             m, a, b, n = quad
             if m < 1 or not 1 <= a < b or n < 1:
                 raise ValueError(f"config field 'extremal': invalid parameters {quad}")
+            # the small clique, the isolated row and the large clique of H
+            order = m * (a - 1) + (m * b + 1) * (a + n)
+            if order > GRAPH6_MAX_N:
+                raise ValueError(
+                    f"config field 'extremal': H{quad} has {order} vertices, and "
+                    f"graph6 short form supports at most {GRAPH6_MAX_N}"
+                )
 
     # -- cells -------------------------------------------------------------
 
     def cells(self) -> list[Cell]:
         out: list[Cell] = []
         for t in self.theorems:
-            if t == "A":
-                out += [
-                    Cell("A", {"a": a, "b": b, "n": n})
-                    for a, b in self.a_ab
-                    for n in self.a_n
-                ]
-            elif t == "B":
-                out += [
-                    Cell("B", {"m": m, "n": n})
-                    for m in self.b_m
-                    for n in self.b_n
-                    if 2 * n <= m  # out-of-range cells can never fill their quota
-                ]
-            elif t == "C":
-                out += [
-                    Cell("C", {"a": a, "b": b, "n": n})
-                    for a, b in self.c_ab
-                    for n in self.c_n
-                ]
-            elif t == "D":
-                out += [
-                    Cell("D", {"a": a, "b": b, "n": n})
-                    for a, b in self.d_ab
-                    for n in self.d_n
-                ]
-            elif t == "E":
-                out += [Cell("E", {"a": a, "b": b}) for a, b in self.e_ab]
-            elif t == "D1":
-                out += [
-                    Cell("D1", {"a": a, "b": b, "n": n, "k": b if k == "b" else k})
-                    for a, b in self.d1_ab
-                    for n in self.d1_n
-                    for k in self.d1_k
-                ]
+            row = THEOREMS[t]
+            grid = (getattr(self, f"{t.lower()}_{axis}") for axis in row.axes)
+            for values in product(*grid):
+                params: dict = {}
+                for axis, value in zip(row.axes, values):
+                    if axis == "ab":
+                        params["a"], params["b"] = value
+                    else:  # k may be the symbolic b
+                        params[axis] = params["b"] if value == "b" else value
+                if row.in_grid(params):
+                    out.append(Cell(t, params))
         return out
 
     # -- file format ---------------------------------------------------------
@@ -152,12 +135,21 @@ class CampaignConfig:
     def to_text(self) -> str:
         lines = []
         for f in fields(self):
-            key = _FIELD_TO_KEY[f.name]
-            lines.append(f"{key} = {_format_value(f.name, getattr(self, f.name))}")
+            key = _config_key(f.name)
+            value = getattr(self, f.name)
+            if f.default is None:
+                text = "" if value is None else str(value)
+            elif isinstance(f.default, int):
+                text = str(value)
+            else:
+                item = _LIST_ITEMS.get(key.partition(".")[2] or key, _INT_ITEM)[1]
+                text = ",".join(item(v) for v in value)
+            lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "CampaignConfig":
+        by_key = {_config_key(f.name): f for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -167,10 +159,10 @@ class CampaignConfig:
                 raise ValueError(f"config line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _KEY_TO_FIELD:
+            if key not in by_key:
                 raise ValueError(f"config line {lineno}: unknown field {key!r}")
-            name = _KEY_TO_FIELD[key]
-            values[name] = _parse_value(name, value.strip())
+            f = by_key[key]
+            values[f.name] = _parse_value(f, key, value.strip())
         config = cls(**values)
         config.validate()
         return config
@@ -185,89 +177,40 @@ class CampaignConfig:
             return cls.from_text(fh.read())
 
 
-_FIELD_TO_KEY = {
-    "theorems": "theorems",
-    "n_min": "n_min",
-    "n_max": "n_max",
-    "p_list": "p_list",
-    "seed_list": "seed_list",
-    "quota": "quota",
-    "cap_n": "cap_n",
-    "cap_deletions": "cap_deletions",
-    "budget": "budget",
-    "a_ab": "A.ab",
-    "a_n": "A.n",
-    "b_m": "B.m",
-    "b_n": "B.n",
-    "c_ab": "C.ab",
-    "c_n": "C.n",
-    "d_ab": "D.ab",
-    "d_n": "D.n",
-    "e_ab": "E.ab",
-    "d1_ab": "D1.ab",
-    "d1_n": "D1.n",
-    "d1_k": "D1.k",
-    "extremal": "extremal",
-    "output_json": "output_json",
-    "output_csv": "output_csv",
+def _config_key(name: str) -> str:
+    """The config-file key of a field: ``D1.ab`` for ``d1_ab``, which lists
+    the ``ab`` axis of D1's campaign grid, else the field name."""
+    prefix, _, axis = name.partition("_")
+    tag = prefix.upper()
+    return f"{tag}.{axis}" if tag in THEOREMS and axis in THEOREMS[tag].axes else name
+
+
+# (parse, format) of one item of a comma-separated list field, by its key
+# or its theorem axis; every other list holds integers
+_INT_ITEM = (int, str)
+_COLON_ITEM = (
+    lambda t: tuple(int(x) for x in t.split(":")),
+    lambda v: ":".join(str(x) for x in v),
+)
+_LIST_ITEMS = {
+    "theorems": (str.strip, str),
+    "p_list": (lambda t: Fraction(t.strip()), lambda p: str(Fraction(p))),
+    "extremal": _COLON_ITEM,
+    "ab": _COLON_ITEM,
+    "k": (lambda t: "b" if t.strip() == "b" else int(t), str),
 }
-_KEY_TO_FIELD = {v: k for k, v in _FIELD_TO_KEY.items()}
-
-_INT_FIELDS = {"n_min", "n_max", "quota", "cap_n", "cap_deletions", "budget"}
-_INT_LIST_FIELDS = {"seed_list", "a_n", "b_m", "b_n", "c_n", "d_n", "d1_n"}
-_PAIR_LIST_FIELDS = {"a_ab", "c_ab", "d_ab", "e_ab", "d1_ab"}
-_PATH_FIELDS = {"output_json", "output_csv"}
 
 
-def _format_value(name, value) -> str:
-    if name == "theorems":
-        return ",".join(value)
-    if name in _INT_FIELDS:
-        return str(value)
-    if name == "p_list":
-        return ",".join(str(Fraction(p)) for p in value)
-    if name in _INT_LIST_FIELDS:
-        return ",".join(str(v) for v in value)
-    if name in _PAIR_LIST_FIELDS:
-        return ",".join(f"{a}:{b}" for a, b in value)
-    if name == "d1_k":
-        return ",".join(str(k) for k in value)
-    if name == "extremal":
-        return ",".join(":".join(str(x) for x in quad) for quad in value)
-    if name in _PATH_FIELDS:
-        return "" if value is None else str(value)
-    raise AssertionError(name)
-
-
-def _parse_value(name, text):
+def _parse_value(f, key: str, text: str):
     try:
-        if name == "theorems":
-            return tuple(t.strip() for t in text.split(",") if t.strip())
-        if name in _INT_FIELDS:
-            return int(text)
-        if name == "p_list":
-            return tuple(Fraction(t.strip()) for t in text.split(",") if t.strip())
-        if name in _INT_LIST_FIELDS:
-            return tuple(int(t) for t in text.split(",") if t.strip())
-        if name in _PAIR_LIST_FIELDS:
-            return tuple(
-                tuple(int(x) for x in t.split(":")) for t in text.split(",") if t.strip()
-            )
-        if name == "d1_k":
-            return tuple(
-                "b" if t.strip() == "b" else int(t) for t in text.split(",") if t.strip()
-            )
-        if name == "extremal":
-            return tuple(
-                tuple(int(x) for x in t.split(":")) for t in text.split(",") if t.strip()
-            )
-        if name in _PATH_FIELDS:
+        if f.default is None:
             return text or None
+        if isinstance(f.default, int):
+            return int(text)
+        item = _LIST_ITEMS.get(key.partition(".")[2] or key, _INT_ITEM)[0]
+        return tuple(item(t) for t in text.split(",") if t.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(
-            f"config field {_FIELD_TO_KEY[name]!r}: cannot parse {text!r} ({exc})"
-        ) from None
-    raise AssertionError(name)
+        raise ValueError(f"config field {key!r}: cannot parse {text!r} ({exc})") from None
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -302,37 +245,9 @@ def _evaluate_instance(payload: dict) -> dict:
         "expected_failure": False,
     }
     try:
-        if theorem == "A":
-            verdict = check_vertex_deletion_all(
-                g, params["a"], params["b"], params["n"],
-                cap_n=cap_n, cap_deletions=cap_deletions, budget=budget,
-            )
-        elif theorem == "B":
-            verdict = check_edge_deletion_star(
-                g, params["m"], params["n"],
-                cap_n=cap_n, cap_deletions=cap_deletions, budget=budget,
-            )
-        elif theorem == "C":
-            verdict = check_matching_deletion(
-                g, params["a"], params["b"], params["n"],
-                cap_n=cap_n, cap_deletions=cap_deletions, budget=budget,
-            )
-        elif theorem == "D":
-            verdict = check_theorem_D(
-                g, params["a"], params["b"], params["n"],
-                cap_n=cap_n, cap_deletions=cap_deletions, budget=budget,
-            )
-        elif theorem == "E":
-            verdict = check_theorem_E(
-                g, params["a"], params["b"],
-                cap_n=cap_n, cap_deletions=cap_deletions, budget=budget,
-            )
-        elif theorem == "D1":
-            verdict = check_lemma_D1(
-                g, params["a"], params["b"], params["n"], params["k"], cap_n=cap_n
-            )
-        else:
-            raise ValueError(f"unknown theorem {theorem!r}")
+        verdict = THEOREMS[theorem].run(
+            g, params, cap_n=cap_n, cap_deletions=cap_deletions, budget=budget
+        )
     except (CapExceeded, SearchBudgetExceeded) as exc:
         row["outcome"] = "capped"
         row["error"] = str(exc)
@@ -360,7 +275,7 @@ def _evaluate_extremal(index: int, quad, cap_n: int, budget: int) -> dict:
         "index": index,
         "theorem": "A",
         "params": {"a": a, "b": b, "n": n, "m": m},
-        "graph6": emit_graph6(w.graph) if w.graph.n <= 62 else None,
+        "graph6": emit_graph6(w.graph),
         "expected_failure": True,
         "sharpness": {
             "witness_ratio": str(w.witness_ratio),

@@ -22,9 +22,7 @@ from . import __version__
 from .avoidance import (
     DEFAULT_CAP_DELETIONS,
     DEFAULT_CAP_N,
-    check_edge_avoiding,
-    check_edge_deletion_star,
-    check_matching_deletion,
+    THEOREMS,
     check_vertex_deletion_all,
 )
 from .campaign import CampaignConfig, run_campaign
@@ -46,7 +44,9 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(value)
     except ValueError:
-        raise SystemExit(f"environment variable {name} must be an integer, got {value!r}")
+        raise ValueError(
+            f"environment variable {name} must be an integer, got {value!r}"
+        ) from None
 
 
 def _read_lines(path: str | None):
@@ -107,42 +107,20 @@ def cmd_factor(args) -> int:
 
 
 def cmd_avoid(args) -> int:
+    row = next(t for t in THEOREMS.values() if t.mode == args.mode)
+    missing = [f"--{p}" for p in row.params if getattr(args, p) is None]
+    if missing:
+        raise ValueError(f"avoid --mode {args.mode} requires {', '.join(missing)}")
+    params = {p: getattr(args, p) for p in row.params}
+    if "edge" in params:
+        u, _, v = params["edge"].partition(",")
+        params["edge"] = (int(u), int(v))
     g = _first_graph(args.input)
-    if args.mode == "vertices":
-        _need(args, "a", "b", "n")
-        verdict = check_vertex_deletion_all(
-            g, args.a, args.b, args.n,
-            cap_n=args.cap_n, cap_deletions=args.cap_deletions, budget=args.budget,
-        )
-    elif args.mode == "edges":
-        _need(args, "m", "n")
-        verdict = check_edge_deletion_star(
-            g, args.m, args.n,
-            cap_n=args.cap_n, cap_deletions=args.cap_deletions, budget=args.budget,
-        )
-    elif args.mode == "matching":
-        _need(args, "a", "b", "n")
-        verdict = check_matching_deletion(
-            g, args.a, args.b, args.n,
-            cap_n=args.cap_n, cap_deletions=args.cap_deletions, budget=args.budget,
-        )
-    elif args.mode == "edge":
-        _need(args, "a", "b", "edge")
-        u, _, v = args.edge.partition(",")
-        verdict = check_edge_avoiding(
-            g, (int(u), int(v)), args.a, args.b,
-            cap_n=args.cap_n, budget=args.budget,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown mode {args.mode}")
+    verdict = row.run(
+        g, params, cap_n=args.cap_n, cap_deletions=args.cap_deletions, budget=args.budget
+    )
     _print_json(verdict.to_json_dict())
     return EXIT_OK if verdict.conclusion_holds else EXIT_NEGATIVE
-
-
-def _need(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise SystemExit(f"avoid --mode {args.mode} requires --{name}")
 
 
 def cmd_extremal(args) -> int:
@@ -237,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("avoid", help="deletion-avoiding factor checks")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--mode", choices=["vertices", "edges", "matching", "edge"], required=True)
+    p.add_argument("--mode", choices=[t.mode for t in THEOREMS.values() if t.mode],
+                   required=True)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--m", type=int, help="star size bound (edges mode)")
@@ -264,14 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CapExceeded, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (GraphFormatError, ValueError) as exc:
+    except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -274,7 +274,7 @@ def _certify_refusal(g: Graph, a: int, b: int, cap_n: int) -> FactorViolation:
 
 def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> FactorCertificate:
     """(g, f)-factor existence: for every S, g(T) - d_{G-S}(T) <= f(S)
-    with T = the vertices of G-S of degree at most g(x).
+    with T = the vertices x of G-S of degree below g(x).
 
     The criterion is valid when g(x) < f(x) for every vertex or when the
     graph is bipartite; anything else is refused.
@@ -305,7 +305,7 @@ def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> F
                 rest ^= bit
                 v = bit.bit_length() - 1
                 dv = (adj[v] & keep).bit_count()
-                if dv <= lo[v]:
+                if dv < lo[v]:
                     deficiency += dv - lo[v]
                     tverts.append(v)
             if deficiency < 0:

@@ -240,25 +240,6 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, edges)
 
 
-_BUILDERS = {
-    "complete": complete_graph,
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "star": star_graph,
-    "union": disjoint_union,
-    "join": join,
-}
-
-
-def build_graph(kind: str, *params) -> Graph:
-    """Dispatch to a named generator: complete/path/cycle/star/union/join."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown graph kind {kind!r}") from None
-    return builder(*params)
-
-
 def generate_random(n: int, p, seed: int) -> Graph:
     """G(n, p) with exact rational p: each unordered pair is an edge
     independently with probability p.

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorbench.campaign import CampaignConfig, Cell, run_campaign
 
@@ -33,6 +35,65 @@ def test_config_round_trips_through_text():
     assert CampaignConfig.from_text(config.to_text()) == config
 
 
+# the text of the default config at the parent of the theorem table; the
+# report header embeds it, so it must not change
+DEFAULT_CONFIG_TEXT = (
+    "theorems = A,B,C,E,D1\nn_min = 7\nn_max = 10\np_list = 3/5,3/4\n"
+    "seed_list = " + ",".join(str(s) for s in range(1, 41)) + "\n"
+    "quota = 25\ncap_n = 12\ncap_deletions = 500\nbudget = 500000\n"
+    "A.ab = 1:2,2:3\nA.n = 1\nB.m = 2,3,4\nB.n = 1\nC.ab = 2:3\nC.n = 1\n"
+    "D.ab = 2:3\nD.n = 1\nE.ab = 2:3\nD1.ab = 2:3\nD1.n = 1\nD1.k = 2,b\n"
+    "extremal = \noutput_json = \noutput_csv = \n"
+)
+
+
+def test_default_config_text_is_pinned():
+    assert CampaignConfig().to_text() == DEFAULT_CONFIG_TEXT
+
+
+_ints = st.lists(st.integers(1, 9), max_size=3).map(tuple)
+_pairs = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=3,
+).map(tuple)
+_paths = st.none() | st.text("abc./_-", min_size=1, max_size=8)
+
+
+@st.composite
+def valid_configs(draw):
+    n_min = draw(st.integers(1, 9))
+    return CampaignConfig(
+        theorems=tuple(draw(st.lists(st.sampled_from(["A", "B", "C", "D", "E", "D1"]),
+                                     max_size=4))),
+        n_min=n_min,
+        n_max=draw(st.integers(n_min, 12)),
+        p_list=tuple(draw(st.lists(st.fractions(0, 1, max_denominator=20), max_size=3))),
+        seed_list=draw(_ints),
+        quota=draw(st.integers(1, 30)),
+        cap_n=draw(st.integers(0, 20)),
+        cap_deletions=draw(st.integers(0, 5000)),
+        budget=draw(st.integers(0, 10**6)),
+        a_ab=draw(_pairs), a_n=draw(_ints), b_m=draw(_ints), b_n=draw(_ints),
+        c_ab=draw(_pairs), c_n=draw(_ints), d_ab=draw(_pairs), d_n=draw(_ints),
+        e_ab=draw(_pairs), d1_ab=draw(_pairs), d1_n=draw(_ints),
+        d1_k=tuple(draw(st.lists(st.integers(2, 6) | st.just("b"), max_size=3))),
+        extremal=tuple(draw(st.lists(
+            st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
+                      st.integers(1, 3)).map(lambda q: (q[0], q[1], q[1] + q[2], q[3])),
+            max_size=2,
+        ))),
+        output_json=draw(_paths),
+        output_csv=draw(_paths),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_config_text_round_trips_over_valid_configs(config):
+    config.validate()
+    assert CampaignConfig.from_text(config.to_text()) == config
+
+
 def test_config_file_round_trip(tmp_path):
     config = small_config()
     path = tmp_path / "campaign.cfg"
@@ -54,6 +115,23 @@ def test_config_bad_value_names_field():
         small_config(a_ab=((3, 2),)).validate()
     with pytest.raises(ValueError, match="theorem"):
         small_config(theorems=("A", "Z")).validate()
+    with pytest.raises(ValueError, match="theorem"):  # not a campaign statement
+        small_config(theorems=("LemmaH",)).validate()
+    with pytest.raises(ValueError, match="D1.k"):
+        small_config(d1_k=(1,)).validate()
+
+
+def test_config_rejects_extremal_beyond_graph6():
+    from factorbench import GRAPH6_MAX_N, build_extremal_H
+
+    # H(1,2,3,13) has 61 vertices and H(1,2,3,14) 65
+    assert build_extremal_H(1, 2, 3, 13).graph.n <= GRAPH6_MAX_N
+    assert build_extremal_H(1, 2, 3, 14).graph.n > GRAPH6_MAX_N
+    small_config(extremal=((1, 2, 3, 13),)).validate()
+    with pytest.raises(ValueError, match="config field 'extremal'.*65 vertices"):
+        small_config(extremal=((1, 2, 3, 14),)).validate()
+    with pytest.raises(ValueError, match="config field 'extremal'.*169 vertices"):
+        CampaignConfig.from_text("extremal = 1:2:3:40\n")
 
 
 def test_config_comments_and_blanks_are_ignored():
@@ -182,3 +260,20 @@ def test_over_cap_theorem_e_draws_skip_pair_deletions(monkeypatch):
     for row in report.instances:
         assert row["outcome"] == "capped"
         assert "exceed the cap of 20" in row["error"]
+
+
+def test_campaign_runs_the_check_bound_on_avoidance(monkeypatch):
+    import factorbench.avoidance as avoidance
+    from factorbench.avoidance import AvoidanceVerdict
+
+    calls = []
+
+    def fake_check(g, a, b, n, k, **limits):
+        calls.append((a, b, n, k, sorted(limits)))
+        return AvoidanceVerdict("LemmaD1", {}, (), True, None)
+
+    monkeypatch.setattr(avoidance, "check_lemma_D1", fake_check)
+    report = run_campaign(small_config(theorems=("D1",)))
+    assert report.aggregates["total"] == report.aggregates["verified"] == len(calls) > 0
+    assert {c[:4] for c in calls} == {(2, 3, 1, 2), (2, 3, 1, 3)}
+    assert {tuple(c[4]) for c in calls} == {("cap_n",)}

@@ -133,8 +133,55 @@ def test_avoid_edges_mode_vacuous(tmp_path, capsys):
 def test_avoid_missing_parameter_is_usage_error(tmp_path, capsys):
     path = tmp_path / "c4.g6"
     path.write_text(emit_graph6(cycle_graph(4)) + "\n")
-    with pytest.raises(SystemExit):
-        main(["avoid", str(path), "--mode", "vertices", "--a", "2", "--b", "3"])
+    code, out, err = run_cli(
+        capsys, ["avoid", str(path), "--mode", "vertices", "--a", "2", "--b", "3"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: avoid --mode vertices requires --n\n"
+
+
+@pytest.mark.parametrize("name", ["FACTORBENCH_CAP_N", "FACTORBENCH_CAP_DELETIONS"])
+def test_non_integer_cap_variable_is_usage_error(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "twelve")
+    code, out, err = run_cli(capsys, ["toughness", "-"], stdin="", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: environment variable {name} must be an integer")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "{missing}", "--a", "1", "--b", "2"],
+        ["avoid", "{missing}", "--mode", "edge", "--edge", "0,1", "--a", "2", "--b", "3"],
+        ["campaign", "{missing}"],
+    ],
+    ids=["factor", "avoid", "campaign"],
+)
+def test_missing_file_is_usage_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent")
+    code, out, err = run_cli(capsys, [a.format(missing=missing) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "absent" in err and "Traceback" not in err
+
+
+def test_avoid_runs_the_check_bound_on_avoidance(tmp_path, capsys, monkeypatch):
+    import factorbench.avoidance as avoidance
+    from factorbench.avoidance import AvoidanceVerdict
+
+    calls = []
+
+    def fake_check(g, a, b, n, **limits):
+        calls.append((g.n, a, b, n, sorted(limits)))
+        return AvoidanceVerdict("C", {"a": a, "b": b, "n": n}, (), True, None)
+
+    monkeypatch.setattr(avoidance, "check_matching_deletion", fake_check)
+    path = tmp_path / "c5.g6"
+    path.write_text(emit_graph6(cycle_graph(5)) + "\n")
+    code, out, _ = run_cli(
+        capsys, ["avoid", str(path), "--mode", "matching", "--a", "1", "--b", "2", "--n", "1"]
+    )
+    assert code == 0 and json.loads(out)["outcome"] == "verified"
+    assert calls == [(5, 1, 2, 1, ["budget", "cap_deletions", "cap_n"])]
 
 
 def test_avoid_cap_exit_code(tmp_path, capsys):

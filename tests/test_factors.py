@@ -190,6 +190,8 @@ def test_check_gf_factor_specialises_to_ab():
             lhs = check_gf_factor(g, lambda v: a, lambda v: b)
             rhs = check_ab_factor(g, a, b)
             assert lhs.exists == rhs.exists
+            assert lhs.violation == rhs.violation
+            assert lhs.verify(g, a, b)
 
 
 def test_check_gf_factor_bipartite_perfect_matching():

@@ -14,7 +14,6 @@ from factorbench import (
     Graph,
     GraphFormatError,
     build_extremal_H,
-    build_graph,
     complete_graph,
     cycle_graph,
     delete,
@@ -163,13 +162,6 @@ def test_cycle_degrees_and_union():
     two_k2 = disjoint_union(Graph(2, [(0, 1)]), Graph(2, [(0, 1)]))
     assert two_k2.n == 4 and two_k2.edge_count == 2
     assert isolated_count(two_k2) == 0
-
-
-def test_build_graph_dispatch():
-    assert build_graph("path", 4) == path_graph(4)
-    assert build_graph("star", 3) == star_graph(3)
-    with pytest.raises(ValueError):
-        build_graph("hypercube", 3)
 
 
 def test_generate_random_extremes_and_determinism():
