@@ -20,10 +20,12 @@ from typing import Callable, Iterable, Sequence
 from .errors import CapExceeded
 from .factors import (
     DEFAULT_SEARCH_BUDGET,
+    DegreeBounds,
     FactorCertificate,
     FactorViolation,
-    check_ab_factor,
+    _certify_refusal,
     check_star_factor,
+    deficient_sets,
     delta,
     find_ab_factor,
     find_star_factor,
@@ -286,14 +288,11 @@ def _lift_violation(v: FactorViolation, labels: Sequence[int]) -> FactorViolatio
     )
 
 
-def _nonexistence_cert(g_del: Graph, labels, a: int, b: int, cap_n: int) -> FactorCertificate:
-    """Violation certificate for a deleted graph, lifted to original labels."""
-    if a < b and g_del.n <= cap_n:
-        cert = check_ab_factor(g_del, a, b, cap_n=cap_n)
-        if cert.exists:  # pragma: no cover - routes cannot disagree
-            raise RuntimeError("criterion contradicts constructive search")
-        return FactorCertificate(False, violation=_lift_violation(cert.violation, labels))
-    return FactorCertificate(False)
+def _refusal_cert(g_del: Graph, labels, a: int, b: int, cap_n: int) -> FactorCertificate:
+    """Certificate for a deleted graph without an [a,b]-factor: its first
+    violating S, lifted to original labels."""
+    violation = _certify_refusal(g_del, DegreeBounds.uniform(a, b, g_del.n), cap_n)
+    return FactorCertificate(False, violation=_lift_violation(violation, labels))
 
 
 # -- vertex deletion -------------------------------------------------------------
@@ -360,7 +359,7 @@ def _vertex_deletion_full(g, a, b, n, cap_n, cap_deletions, budget):
         res = delete_vertices(g, combo)
         cert = find_ab_factor(res.graph, a, b, budget=budget, cert_cap=0)
         if not cert.exists:
-            full = _nonexistence_cert(res.graph, res.original_labels, a, b, cap_n)
+            full = _refusal_cert(res.graph, res.original_labels, a, b, cap_n)
             direct_failure = Counterexample(DeletionSpec.vertices(combo), full)
             break
     violation = scan_deficiency(g, a, b, bound=b * n, min_size=n, cap_n=cap_n)
@@ -388,12 +387,10 @@ def _vertex_deletion_targeted(g, a, b, n, deletions, witnesses, cap_n):
         for w in witness_sets:
             if set(w) & set(v0):
                 raise ValueError(f"witness {w} intersects the deleted set {v0}")
-            s_local = [index[x] for x in w]
-            if delta(res.graph, s_local, a, b) < 0:
-                t_local = low_set(res.graph, s_local, a)
-                viol = FactorViolation(
-                    tuple(s_local), t_local, delta(res.graph, s_local, a, b), 0
-                )
+            s_local = tuple(index[x] for x in w)
+            d = delta(res.graph, s_local, a, b)
+            if d < 0:
+                viol = FactorViolation(s_local, low_set(res.graph, s_local, a), d, 0)
                 refuted = Counterexample(
                     spec,
                     FactorCertificate(
@@ -404,9 +401,12 @@ def _vertex_deletion_targeted(g, a, b, n, deletions, witnesses, cap_n):
         exists = ab_factor_exists(res.graph, a, b)
         if refuted is None:
             if not exists:
-                refuted = Counterexample(
-                    spec, _nonexistence_cert(res.graph, res.original_labels, a, b, cap_n)
+                cert = (
+                    _refusal_cert(res.graph, res.original_labels, a, b, cap_n)
+                    if res.graph.n <= cap_n
+                    else FactorCertificate(False)
                 )
+                refuted = Counterexample(spec, cert)
         elif exists:
             raise RuntimeError(
                 "witness claims a violation but the flow decision finds a factor"
@@ -453,16 +453,8 @@ def check_edge_deletion_star(
         if forest is not None:
             forest.validate(h, m)
             continue
-        if m >= 2:
-            t = low_set(h, crit.witness, 1)
-            cert = FactorCertificate(
-                False,
-                violation=FactorViolation(
-                    crit.witness, t, m * len(crit.witness) - len(t), 0
-                ),
-            )
-        else:
-            cert = FactorCertificate(False)
+        # m = 1 refusals carry no deficiency certificate
+        cert = FactorCertificate(False, violation=crit.violation)
         counterexample = Counterexample(DeletionSpec.edges(eprime), cert)
         break
     return AvoidanceVerdict(
@@ -527,7 +519,7 @@ def check_matching_deletion(
         h = delete_edges(g, matching)
         cert = find_ab_factor(h, a, b, budget=budget, cert_cap=0)
         if not cert.exists:
-            full = _nonexistence_cert(h, tuple(range(g.n)), a, b, cap_n)
+            full = _refusal_cert(h, tuple(range(g.n)), a, b, cap_n)
             counterexample = Counterexample(DeletionSpec.matching(matching), full)
             break
     return AvoidanceVerdict(
@@ -624,39 +616,20 @@ def _first_rho_violation(
     g: Graph, u: int, v: int, a: int, b: int
 ) -> tuple[int, ...] | None:
     """First S (size-then-lexicographic order) whose deficiency in G falls
-    below rho(S) for the edge uv, or None.  One pass over G - S per subset
-    gives the deficiency; rho is read only when that is below 2, since
-    rho <= 2.  With u, v outside S their degrees in (G-e)-S are their
-    degrees in G-S minus one."""
+    below rho(S) for the edge uv, or None.  Since rho <= 2, only the S of
+    deficiency below 2 are read.  With u, v outside S their degrees in
+    (G-e)-S are their degrees in G-S minus one."""
     adj = g.adj
-    full = g.full_mask
-    n = g.n
     uv = 1 << u | 1 << v
-    for k in range(n + 1):
-        bk = b * k
-        for combo in combinations(range(n), k):
-            smask = 0
-            for x in combo:
-                smask |= 1 << x
-            keep = full & ~smask
-            d = bk
-            rest = keep
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                dx = (adj[bit.bit_length() - 1] & keep).bit_count()
-                if dx < a:
-                    d += dx - a
-            if d >= 2:
-                continue
-            penalty = 0
-            if not smask & uv:
-                # x in T' iff deg_{G-S}(x) - 1 <= a - 1
-                penalty = ((adj[u] & keep).bit_count() <= a) + (
-                    (adj[v] & keep).bit_count() <= a
-                )
-            if d < penalty:
-                return combo
+    for s, keep, _, d in deficient_sets(g, DegreeBounds.uniform(a, b, g.n), bound=2):
+        penalty = 0
+        if keep & uv == uv:
+            # x in T' iff deg_{G-S}(x) - 1 <= a - 1
+            penalty = ((adj[u] & keep).bit_count() <= a) + (
+                (adj[v] & keep).bit_count() <= a
+            )
+        if d < penalty:
+            return s
     return None
 
 
@@ -713,7 +686,7 @@ def _first_vertex_deletion_failure(g, a, b, size, budget, cap_n):
     for combo in combinations(range(g.n), size):
         res = delete_vertices(g, combo)
         if not find_ab_factor(res.graph, a, b, budget=budget, cert_cap=0).exists:
-            cert = _nonexistence_cert(res.graph, res.original_labels, a, b, cap_n)
+            cert = _refusal_cert(res.graph, res.original_labels, a, b, cap_n)
             return Counterexample(DeletionSpec.vertices(combo), cert)
     return None
 
@@ -744,7 +717,7 @@ def check_theorem_E(
     for e in g.edges:
         h = delete_edges(g, [e])
         if not find_ab_factor(h, a, b, budget=budget, cert_cap=0).exists:
-            cert = _nonexistence_cert(h, tuple(range(g.n)), a, b, cap_n)
+            cert = _refusal_cert(h, tuple(range(g.n)), a, b, cap_n)
             counterexample = Counterexample(DeletionSpec.edge(*e), cert)
             break
     return AvoidanceVerdict(

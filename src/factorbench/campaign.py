@@ -31,7 +31,9 @@ from .avoidance import (
 )
 from .errors import CapExceeded, SearchBudgetExceeded
 from .factors import DEFAULT_SEARCH_BUDGET
-from .graphs import GRAPH6_MAX_N, build_extremal_H, emit_graph6, generate_random, parse_graph6
+from .graphs import (
+    GRAPH6_MAX_N, build_extremal_H, emit_graph6, extremal_order, generate_random, parse_graph6,
+)
 from .toughness import threshold
 
 
@@ -91,7 +93,10 @@ class CampaignConfig:
             key = _config_key(f.name)
             axis = key.partition(".")[2]
             if axis == "ab":
-                for a, b in getattr(self, f.name):
+                for pair in getattr(self, f.name):
+                    if len(pair) != 2:
+                        raise ValueError(f"config field '{key}': need a:b pairs, got {pair}")
+                    a, b = pair
                     if not 1 <= a < b:
                         raise ValueError(f"config field '{key}': need 1 <= a < b, got {a}:{b}")
             elif axis == "k":
@@ -101,11 +106,12 @@ class CampaignConfig:
                             f"config field '{key}': need an integer >= 2 or 'b', got {k}"
                         )
         for quad in self.extremal:
-            m, a, b, n = quad
-            if m < 1 or not 1 <= a < b or n < 1:
-                raise ValueError(f"config field 'extremal': invalid parameters {quad}")
-            # the small clique, the isolated row and the large clique of H
-            order = m * (a - 1) + (m * b + 1) * (a + n)
+            if len(quad) != 4:
+                raise ValueError(f"config field 'extremal': need m:a:b:n quads, got {quad}")
+            try:
+                order = extremal_order(*quad)
+            except ValueError:
+                raise ValueError(f"config field 'extremal': invalid parameters {quad}") from None
             if order > GRAPH6_MAX_N:
                 raise ValueError(
                     f"config field 'extremal': H{quad} has {order} vertices, and "

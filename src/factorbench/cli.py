@@ -28,7 +28,7 @@ from .avoidance import (
 from .campaign import CampaignConfig, run_campaign
 from .errors import CapExceeded, GraphFormatError, SearchBudgetExceeded
 from .factors import DEFAULT_SEARCH_BUDGET, check_ab_factor, find_ab_factor, find_star_factor
-from .graphs import GRAPH6_MAX_N, build_extremal_H, emit_graph6, parse_graph6
+from .graphs import GRAPH6_MAX_N, build_extremal_H, emit_graph6, extremal_order, parse_graph6
 from .toughness import isolated_toughness, threshold
 
 EXIT_OK = 0
@@ -124,12 +124,13 @@ def cmd_avoid(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    w = build_extremal_H(args.m, args.a, args.b, args.n)
-    if w.graph.n > GRAPH6_MAX_N:
+    order = extremal_order(args.m, args.a, args.b, args.n)
+    if order > GRAPH6_MAX_N:
         raise ValueError(
             f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, "
-            f"H({args.m},{args.a},{args.b},{args.n}) has {w.graph.n}"
+            f"H({args.m},{args.a},{args.b},{args.n}) has {order}"
         )
+    w = build_extremal_H(args.m, args.a, args.b, args.n)
     thr = threshold("A", a=args.a, b=args.b, n=args.n)
     verdict = check_vertex_deletion_all(
         w.graph, args.a, args.b, args.n,

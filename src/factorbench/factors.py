@@ -1,25 +1,26 @@
 """Degree-constrained spanning subgraphs.
 
-The deficiency b|S| - a|T| + d_{G-S}(T), with T the vertices of G-S of
-degree at most a-1, decides [a,b]-factor existence (a < b): the factor
-exists iff the deficiency is nonnegative for every S.  Existence is
-decided by max-flow (``flow.ab_factor_exists``); the subset scan of that
-criterion certifies refusals.  This module houses the criterion and its
-(g, f) generalisation, a constructive backtracking finder, an exhaustive
-oracle kept deliberately independent of the finder, star-factor
-machinery, and the maximal-independent-set / covering-set pair search
-used by the deficiency lower-bound arguments.
+The deficiency f(S) + sum_{x in T} (d_{G-S}(x) - g(x)), with T the
+vertices x of G-S of degree below g(x), decides (g,f)-factor existence
+(g < f, or a bipartite graph) and, as b|S| - a|T| + d_{G-S}(T), [a,b]-factor
+existence (a < b): the factor exists iff it is nonnegative for every S.
+Existence is decided by max-flow (``flow``); the one subset scan of the
+criterion, ``deficient_sets``, certifies refusals.  This module also houses
+a constructive backtracking finder, an exhaustive oracle kept deliberately
+independent of the finder, star-factor machinery, and the
+maximal-independent-set / covering-set pair search used by the deficiency
+lower-bound arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, SearchBudgetExceeded
-from .flow import ab_factor_exists
-from .graphs import Graph, isolated_count_mask, vertex_mask
+from .flow import ab_factor_exists, gf_factor_exists
+from .graphs import Graph, vertex_mask
 
 DEFAULT_SCAN_CAP = 16
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -112,14 +113,16 @@ class StarForest:
 
 class StarCheck(NamedTuple):
     """Criterion verdict for star factors with the failing set on refusal.
-    For m >= 2 the witness violates i(G-S) <= m|S|; for m = 1 it violates
-    the odd-component matching condition."""
+    For m >= 2 the witness violates i(G-S) <= m|S|, and ``violation`` is
+    its [1,m] deficiency certificate; for m = 1 it violates the
+    odd-component matching condition."""
 
     exists: bool
     m: int
     witness: tuple[int, ...] | None = None
     isolated: int | None = None
     odd_components: int | None = None
+    violation: FactorViolation | None = None
 
 
 class KaterinisPair(NamedTuple):
@@ -201,6 +204,39 @@ def delta(g: Graph, s: Sequence[int], a: int, b: int) -> int:
     return b * smask.bit_count() - a * tcount + dsum
 
 
+def deficient_sets(
+    g: Graph, bounds: DegreeBounds, *, bound: int = 0, min_size: int = 0
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Every S with |S| >= min_size whose deficiency
+    f(S) + sum_{x in T} (d_{G-S}(x) - g(x)) falls below ``bound``, in
+    size-then-lexicographic order, with T the vertices x of G-S of degree
+    below g(x).  Yields (S, G-S mask, T mask, deficiency)."""
+    lo, hi = bounds.lower, bounds.upper
+    adj = g.adj
+    full = g.full_mask
+    n = g.n
+    for k in range(min_size, n + 1):
+        for combo in combinations(range(n), k):
+            smask = 0
+            value = 0
+            for v in combo:
+                smask |= 1 << v
+                value += hi[v]
+            keep = full & ~smask
+            tmask = 0
+            rest = keep
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                gap = (adj[v] & keep).bit_count() - lo[v]  # d_{G-S}(v) - g(v)
+                if gap < 0:
+                    tmask |= bit
+                    value += gap
+            if value < bound:
+                yield combo, keep, tmask, value
+
+
 def scan_deficiency(
     g: Graph,
     a: int,
@@ -211,38 +247,16 @@ def scan_deficiency(
     require_t: bool = False,
     cap_n: int = DEFAULT_SCAN_CAP,
 ) -> FactorViolation | None:
-    """First S (size-then-lexicographic order) with deficiency below
+    """First S (size-then-lexicographic order) with [a,b] deficiency below
     ``bound``, optionally restricted to |S| >= min_size or T nonempty.
     Returns None when every required S passes."""
     if g.n > cap_n:
         raise CapExceeded(f"deficiency scan capped at {cap_n} vertices, got {g.n}")
-    adj = g.adj
-    full = g.full_mask
-    n = g.n
-    for k in range(min_size, n + 1):
-        for combo in combinations(range(n), k):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            keep = full & ~smask
-            tmask = 0
-            tcount = 0
-            dsum = 0
-            rest = keep
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                dv = (adj[bit.bit_length() - 1] & keep).bit_count()
-                if dv <= a - 1:
-                    tmask |= bit
-                    tcount += 1
-                    dsum += dv
-            if require_t and not tmask:
-                continue
-            d = b * k - a * tcount + dsum
-            if d < bound:
-                tverts = tuple(v for v in range(n) if tmask >> v & 1)
-                return FactorViolation(combo, tverts, d, bound)
+    bounds = DegreeBounds.uniform(a, b, g.n)
+    for s, _, tmask, d in deficient_sets(g, bounds, bound=bound, min_size=min_size):
+        if tmask or not require_t:
+            t = tuple(v for v in range(g.n) if tmask >> v & 1)
+            return FactorViolation(s, t, d, bound)
     return None
 
 
@@ -255,21 +269,7 @@ def check_ab_factor(g: Graph, a: int, b: int, *, cap_n: int = DEFAULT_SCAN_CAP) 
     scan, which returns the first S (size-then-lexicographic) of negative
     deficiency; ``cap_n`` bounds only that scan."""
     _check_ab(a, b, strict=True)
-    if ab_factor_exists(g, a, b):
-        return FactorCertificate(exists=True)
-    return FactorCertificate(exists=False, violation=_certify_refusal(g, a, b, cap_n))
-
-
-def _certify_refusal(g: Graph, a: int, b: int, cap_n: int) -> FactorViolation:
-    """First violating S for a graph the flow refused.  Finding none means
-    the flow and the criterion disagree, which is a bug, not a verdict."""
-    violation = scan_deficiency(g, a, b, cap_n=cap_n)
-    if violation is None:
-        raise RuntimeError(
-            f"flow and deficiency routes disagree: the flow refuses an "
-            f"[{a},{b}]-factor but no S has negative deficiency"
-        )
-    return violation
+    return _decided(g, DegreeBounds.uniform(a, b, g.n), ab_factor_exists(g, a, b), cap_n)
 
 
 def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> FactorCertificate:
@@ -277,7 +277,9 @@ def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> F
     with T = the vertices x of G-S of degree below g(x).
 
     The criterion is valid when g(x) < f(x) for every vertex or when the
-    graph is bipartite; anything else is refused.
+    graph is bipartite; anything else is refused.  There the double-cover
+    flow with per-vertex bounds decides, as ``check_ab_factor`` does, and
+    ``cap_n`` bounds only the scan that certifies a refusal.
     """
     bounds = DegreeBounds.per_vertex(gfun, ffun, g.n)
     bounds.validate()
@@ -285,35 +287,29 @@ def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> F
         raise ValueError(
             "criterion requires g(x) < f(x) for every vertex, or a bipartite graph"
         )
+    return _decided(g, bounds, gf_factor_exists(g, bounds.lower, bounds.upper), cap_n)
+
+
+def _decided(g: Graph, bounds: DegreeBounds, exists: bool, cap_n: int) -> FactorCertificate:
+    """The flow's verdict as a certificate; a refusal carries its first
+    violating S."""
+    if exists:
+        return FactorCertificate(exists=True)
+    return FactorCertificate(exists=False, violation=_certify_refusal(g, bounds, cap_n))
+
+
+def _certify_refusal(g: Graph, bounds: DegreeBounds, cap_n: int) -> FactorViolation:
+    """First violating S for a graph the flow or the search refused.
+    Finding none means that route and the criterion disagree, which is a
+    bug, not a verdict."""
     if g.n > cap_n:
         raise CapExceeded(f"deficiency scan capped at {cap_n} vertices, got {g.n}")
-    lo, hi = bounds.lower, bounds.upper
-    adj = g.adj
-    full = g.full_mask
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            keep = full & ~smask
-            f_s = sum(hi[v] for v in combo)
-            deficiency = f_s
-            tverts = []
-            rest = keep
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length() - 1
-                dv = (adj[v] & keep).bit_count()
-                if dv < lo[v]:
-                    deficiency += dv - lo[v]
-                    tverts.append(v)
-            if deficiency < 0:
-                return FactorCertificate(
-                    exists=False,
-                    violation=FactorViolation(combo, tuple(tverts), deficiency, 0),
-                )
-    return FactorCertificate(exists=True)
+    for s, _, tmask, d in deficient_sets(g, bounds):
+        return FactorViolation(s, tuple(v for v in range(g.n) if tmask >> v & 1), d, 0)
+    raise RuntimeError(
+        "refusal and deficiency routes disagree: the factor was refused "
+        "but no S has negative deficiency"
+    )
 
 
 def _check_ab(a: int, b: int, *, strict: bool) -> None:
@@ -353,10 +349,8 @@ def find_ab_factor(
     if edges is not None:
         return FactorCertificate(exists=True, factor_edges=edges)
     if a < b and g.n <= cert_cap:
-        cert = check_ab_factor(g, a, b, cap_n=cert_cap)
-        if cert.exists:  # pragma: no cover - the two routes cannot disagree
-            raise RuntimeError("criterion contradicts exhaustive search")
-        return cert
+        violation = _certify_refusal(g, DegreeBounds.uniform(a, b, g.n), cert_cap)
+        return FactorCertificate(exists=False, violation=violation)
     return FactorCertificate(exists=False)
 
 
@@ -542,9 +536,11 @@ def check_star_factor(g: Graph, m: int, *, cap_n: int = DEFAULT_SCAN_CAP) -> Sta
     if m >= 2:
         if ab_factor_exists(g, 1, m):
             return StarCheck(exists=True, m=m)
-        violation = _certify_refusal(g, 1, m, cap_n)
-        iso = len(violation.t)
-        return StarCheck(exists=False, m=m, witness=violation.s, isolated=iso)
+        violation = _certify_refusal(g, DegreeBounds.uniform(1, m, g.n), cap_n)
+        return StarCheck(
+            exists=False, m=m, witness=violation.s, isolated=len(violation.t),
+            violation=violation,
+        )
     if g.n > cap_n:
         raise CapExceeded(f"star-factor scan capped at {cap_n} vertices, got {g.n}")
     adj = g.adj

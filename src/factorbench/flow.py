@@ -1,35 +1,45 @@
-"""Polynomial [a,b]-factor decision by max-flow on the bipartite double cover.
+"""Polynomial (g,f)-factor decision by max-flow on the bipartite double cover.
 
-For a < b the deficiency criterion b|S| - a|T| + d_{G-S}(T) >= 0 carries no
-odd-component term (Lovasz 1970), and the same inequality characterises
-fractional [a,b]-factors (Anstee 1990).  A fractional factor exists iff the
+For g < f the criterion f(S) + sum_{x in T} (d_{G-S}(x) - g(x)) >= 0 carries
+no odd-component term (Lovasz 1970), and the same inequality characterises
+fractional (g,f)-factors (Anstee 1990).  A fractional factor exists iff the
 bipartite double cover of G -- a copy u' and a copy u'' of every vertex and
 an edge u'v'' for each ordered adjacent pair -- has a subgraph with every
-degree in [a, b]: such a subgraph F gives the fractional factor
+degree in [g, f]: such a subgraph F gives the fractional factor
 h(uv) = (F(u'v'') + F(v'u'')) / 2, and conversely the bipartite flow
-polytope is integral.  So for a < b an [a,b]-factor exists iff the
-lower-bounded flow below is feasible.  Everything is integral.
+polytope is integral.  So for g < f a (g,f)-factor exists iff the
+lower-bounded flow below is feasible, and so for g <= f on a bipartite
+graph, whose double cover is two copies of G.  Everything is integral.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .graphs import Graph
 
 
 def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
-    """Exact [a,b]-factor existence for 0 <= a < b in polynomial time.
-
-    The flow runs s -> u' with bounds [a, b], u' -> v'' with capacity 1 for
-    each ordered adjacent pair, and v'' -> t with bounds [a, b].  The lower
-    bounds are moved onto a super-source (a into every u') and a super-sink
-    (a out of every v''); the return arc t -> s can carry any amount, so s
-    and t become one hub node that passes the b - a slack at each side.  The
-    factor exists iff the super-source can push n*a units to the super-sink.
-    """
+    """Exact [a,b]-factor existence for 0 <= a < b in polynomial time."""
     if not 0 <= a < b:
         raise ValueError(f"the flow decision requires 0 <= a < b, got a={a}, b={b}")
+    return gf_factor_exists(g, (a,) * g.n, (b,) * g.n)
+
+
+def gf_factor_exists(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> bool:
+    """Exact (g,f)-factor existence in polynomial time, for bounds with
+    0 <= lower < upper everywhere, or 0 <= lower <= upper on a bipartite G.
+
+    The flow runs s -> u' with bounds [g(u), f(u)], u' -> v'' with capacity
+    1 for each ordered adjacent pair, and v'' -> t with bounds [g(v), f(v)].
+    The lower bounds are moved onto a super-source (g(u) into every u') and
+    a super-sink (g(v) out of every v''); the return arc t -> s can carry
+    any amount, so s and t become one hub node that passes the f - g slack
+    at each side.  The factor exists iff the super-source can push g(V)
+    units to the super-sink.
+    """
     n = g.n
-    total = n * a
+    total = sum(lower)
     if total == 0:
         return True
     adj = g.adj
@@ -49,8 +59,8 @@ def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
         cap.append(f)
 
     # greedy start: route direct source -> u' -> v'' -> sink paths
-    need = [a] * n  # lower-bound demand still unsent at u'
-    room = [a] * n  # lower-bound demand still unreceived at v''
+    need = list(lower)  # lower-bound demand still unsent at u'
+    room = list(lower)  # lower-bound demand still unreceived at v''
     flow = 0
     for u in range(n):
         rest = adj[u]
@@ -67,10 +77,11 @@ def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
     if flow == total:
         return True
     for u in range(n):
-        arc(source, u, a, a - need[u])
-        arc(hub, u, b - a, 0)
-        arc(n + u, sink, a, a - room[u])
-        arc(n + u, hub, b - a, 0)
+        lo, slack = lower[u], upper[u] - lower[u]
+        arc(source, u, lo, lo - need[u])
+        arc(hub, u, slack, 0)
+        arc(n + u, sink, lo, lo - room[u])
+        arc(n + u, hub, slack, 0)
 
     # Dinic: blocking flows on BFS level graphs
     nodes = len(out)

@@ -287,26 +287,32 @@ class ExtremalWitness:
         return tuple(rest[:n])
 
 
-def build_extremal_H(m: int, a: int, b: int, n: int) -> ExtremalWitness:
+def extremal_order(m: int, a: int, b: int, n: int) -> int:
+    """The vertex count of H(m, a, b, n), checked before anything is built:
+    the small clique, the isolated row and the large clique together."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return m * (a - 1) + (m * b + 1) * (a + n)
+
+
+def build_extremal_H(m: int, a: int, b: int, n: int) -> ExtremalWitness:
+    order = extremal_order(m, a, b, n)
     s_small = m * (a - 1)
     s_row = m * b + 1
-    s_large = (m * b + 1) * (a - 1 + n)
     small = tuple(range(s_small))
     row = tuple(range(s_small, s_small + s_row))
-    large = tuple(range(s_small + s_row, s_small + s_row + s_large))
+    large = tuple(range(s_small + s_row, order))
     edges = list(combinations(small, 2))
     edges += list(combinations(large, 2))
     edges += [(w, v) for w in small for v in row]
     # pendant matching: v_i in the row to u_i = the i-th large-clique vertex
     pendants = tuple((large[i], row[i]) for i in range(s_row))
     edges += [(u, v) for u, v in pendants]
-    g = Graph(s_small + s_row + s_large, edges)
+    g = Graph(order, edges)
     return ExtremalWitness(g, small, row, large, pendants, (m, a, b, n))
 
 

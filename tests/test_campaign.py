@@ -119,6 +119,10 @@ def test_config_bad_value_names_field():
         small_config(theorems=("LemmaH",)).validate()
     with pytest.raises(ValueError, match="D1.k"):
         small_config(d1_k=(1,)).validate()
+    with pytest.raises(ValueError, match=r"config field 'A.ab': need a:b pairs, got \(2, 3, 4\)"):
+        CampaignConfig.from_text("A.ab = 2:3:4\n")
+    with pytest.raises(ValueError, match=r"field 'extremal': need m:a:b:n quads, got \(1, 2, 3\)"):
+        CampaignConfig.from_text("extremal = 1:2:3\n")
 
 
 def test_config_rejects_extremal_beyond_graph6():

@@ -220,6 +220,12 @@ def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "at most 62 vertices" in err and "86" in err
+    # H(1,2,3,400) has 1609 vertices: refused before H is built
+    monkeypatch.setattr(cli, "build_extremal_H", no_work)
+    code, out, err = run_cli(capsys, ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "400"])
+    assert code == 2
+    assert out == ""
+    assert "at most 62 vertices" in err and "1609" in err
 
 
 def test_extremal_without_refutation_reports_negative(capsys, monkeypatch):

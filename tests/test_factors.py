@@ -22,11 +22,13 @@ from factorbench import (
     star_graph,
 )
 from factorbench.factors import (
+    DegreeBounds,
     FactorCertificate,
     brute_force_factor,
     check_ab_factor,
     check_gf_factor,
     check_star_factor,
+    deficient_sets,
     delta,
     find_ab_factor,
     find_katerinis_pair,
@@ -34,7 +36,7 @@ from factorbench.factors import (
     low_set,
     scan_deficiency,
 )
-from factorbench.flow import ab_factor_exists
+from factorbench.flow import ab_factor_exists, gf_factor_exists
 
 
 def all_graphs(n):
@@ -132,6 +134,10 @@ def test_cap_bounds_only_the_refusal_scan():
     assert check_star_factor(complete_graph(20), 2, cap_n=16).exists
     with pytest.raises(CapExceeded):
         check_star_factor(Graph(20), 2, cap_n=16)
+    lower, upper = [1] * 10 + [2] * 10, [2] * 10 + [3] * 10
+    assert check_gf_factor(complete_graph(20), lower, upper, cap_n=16).exists
+    with pytest.raises(CapExceeded):
+        check_gf_factor(Graph(20), lower, upper, cap_n=16)
 
 
 def test_flow_refusal_without_violation_is_a_route_disagreement(monkeypatch):
@@ -142,6 +148,9 @@ def test_flow_refusal_without_violation_is_a_route_disagreement(monkeypatch):
         check_ab_factor(cycle_graph(4), 1, 2)
     with pytest.raises(RuntimeError, match="disagree"):
         check_star_factor(cycle_graph(4), 2)
+    monkeypatch.setattr(factors, "gf_factor_exists", lambda g, lower, upper: False)
+    with pytest.raises(RuntimeError, match="disagree"):
+        check_gf_factor(cycle_graph(4), [1, 0, 1, 2], [2, 1, 2, 2])
 
 
 def test_flow_decision_rejects_bad_bounds():
@@ -167,6 +176,52 @@ def test_flow_decision_matches_oracle_and_scan(case):
     expected = brute_force_factor(g, a, b)
     assert ab_factor_exists(g, a, b) == expected
     assert (scan_deficiency(g, a, b) is None) == expected
+
+
+def gf_factor_by_edge_subsets(g, lower, upper):
+    """Independent oracle: some edge subset has every degree in its bounds."""
+    for mask in range(1 << g.edge_count):
+        deg = [0] * g.n
+        for i, (u, v) in enumerate(g.edges):
+            if mask >> i & 1:
+                deg[u] += 1
+                deg[v] += 1
+        if all(lo <= d <= hi for lo, d, hi in zip(lower, deg, upper)):
+            return True
+    return False
+
+
+@st.composite
+def small_graph_and_gf_bounds(draw):
+    """g < f everywhere on any graph, or g <= f on a bipartite one."""
+    n = draw(st.integers(0, 6))
+    pairs = list(combinations(range(n), 2))
+    bipartite = draw(st.booleans())
+    side = [draw(st.booleans()) for _ in range(n)]
+    edges = [
+        (u, v) for u, v in pairs
+        if (side[u] != side[v] or not bipartite) and draw(st.booleans())
+    ]
+    lower = [draw(st.integers(0, 3)) for _ in range(n)]
+    upper = [lo + draw(st.integers(0 if bipartite else 1, 2)) for lo in lower]
+    return Graph(n, edges), lower, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graph_and_gf_bounds())
+def test_gf_flow_matches_kernel_and_edge_subsets(case):
+    g, lower, upper = case
+    expected = gf_factor_by_edge_subsets(g, lower, upper)
+    assert gf_factor_exists(g, lower, upper) == expected
+    bounds = DegreeBounds(tuple(lower), tuple(upper))
+    assert (next(deficient_sets(g, bounds), None) is None) == expected
+    cert = check_gf_factor(g, lower, upper)
+    assert cert.exists == expected
+    if not expected:
+        s, t, d, _ = cert.violation
+        rest = {x: len(set(g.neighbors(x)) - set(s)) for x in range(g.n) if x not in s}
+        assert t == tuple(x for x in rest if rest[x] < lower[x])
+        assert d == sum(upper[x] for x in s) + sum(rest[x] - lower[x] for x in t) < 0
 
 
 def test_extremal_h_minus_v0_violates_at_small_clique():
