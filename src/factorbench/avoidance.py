@@ -4,9 +4,10 @@ Each check evaluates a conditional statement on a concrete graph: the
 premises (minimum degree, isolated-toughness bound, parameter ranges) are
 recorded one by one, the conclusion is verified by exhaustive enumeration
 of the deleted objects, and any failure is returned as a re-verifiable
-certificate.  Wherever an independent criterion route exists alongside the
-direct constructive route, both are executed and compared; a disagreement
-is a bug, not a verdict.
+certificate.  Each deleted graph is decided by the double-cover flow, and
+a refusal is certified by its first violating set.  Wherever an
+independent criterion route exists alongside the direct route, both are
+executed and compared; a disagreement is a bug, not a verdict.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .factors import (
     scan_deficiency,
 )
 from .flow import ab_factor_exists
-from .graphs import (
-    DeletionSpec,
-    Graph,
-    delete,
-    delete_edges,
-    delete_vertices,
-)
+from .graphs import DeletionSpec, DeletionResult, Graph, delete, delete_edges
 from .toughness import isolated_toughness, threshold
 
 DEFAULT_CAP_N = 12
@@ -172,13 +167,13 @@ def _star_premises(g: Graph, *, m, n, **_) -> tuple[Premise, ...]:
 
 
 def _pair_premises(
-    g: Graph, *, a, b, budget, with_pair_deletions, **_
+    g: Graph, *, a, b, with_pair_deletions, **_
 ) -> tuple[Premise, ...]:
     min_deg = _min_degree_premise(g, a + 2)
     if not with_pair_deletions:
         return (min_deg,)
     if min_deg.holds:
-        return (min_deg, _pair_deletion_premise(g, a, b, budget))
+        return (min_deg, _pair_deletion_premise(g, a, b))
     return (
         min_deg,
         Premise(
@@ -219,15 +214,15 @@ class Theorem:
         )
 
 
-_CAPS = ("cap_n", "cap_deletions", "budget")
+_CAPS = ("cap_n", "cap_deletions")
 
 THEOREMS = {
     t.tag: t
     for t in (
         Theorem("A", "check_vertex_deletion_all", ("a", "b", "n"), _CAPS,
                 _degree_and_toughness("A"), ("ab", "n"), mode="vertices"),
-        Theorem("B", "check_edge_deletion_star", ("m", "n"), _CAPS, _star_premises,
-                ("m", "n"), lambda p: 2 * p["n"] <= p["m"], mode="edges"),
+        Theorem("B", "check_edge_deletion_star", ("m", "n"), (*_CAPS, "budget"),
+                _star_premises, ("m", "n"), lambda p: 2 * p["n"] <= p["m"], mode="edges"),
         Theorem("C", "check_matching_deletion", ("a", "b", "n"), _CAPS,
                 _degree_and_toughness("C"), ("ab", "n"), mode="matching"),
         Theorem("D", "check_theorem_D", ("a", "b", "n"), _CAPS,
@@ -250,27 +245,24 @@ def theorem_premises(
     n: int | None = None,
     m: int | None = None,
     k: int | None = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
     with_pair_deletions: bool = True,
 ) -> tuple[Premise, ...]:
     """The recorded hypotheses of one named statement on one graph."""
     if tag not in THEOREMS:
         raise ValueError(f"unknown theorem tag {tag!r}")
     return THEOREMS[tag].premises(
-        g, a=a, b=b, n=n, m=m, k=k, budget=budget, with_pair_deletions=with_pair_deletions
+        g, a=a, b=b, n=n, m=m, k=k, with_pair_deletions=with_pair_deletions
     )
 
 
-def _pair_deletion_premise(g: Graph, a: int, b: int, budget: int) -> Premise:
+def _pair_deletion_premise(g: Graph, a: int, b: int) -> Premise:
+    refusal = _first_refusal(g, _vertex_deletions(g, 2), a, b)
+    if refusal is not None:
+        u, v = refusal[0].members
+        return Premise(
+            "pair_deletions", False, f"G - {{{u}, {v}}} admits no [{a},{b}]-factor"
+        )
     total = comb(g.n, 2)
-    for pair in combinations(range(g.n), 2):
-        res = delete_vertices(g, pair)
-        if not find_ab_factor(res.graph, a, b, budget=budget, cert_cap=0).exists:
-            return Premise(
-                "pair_deletions",
-                False,
-                f"G - {{{pair[0]}, {pair[1]}}} admits no [{a},{b}]-factor",
-            )
     return Premise(
         "pair_deletions", True, f"all {total} vertex-pair deletions admit [{a},{b}]-factors"
     )
@@ -295,6 +287,34 @@ def _refusal_cert(g_del: Graph, labels, a: int, b: int, cap_n: int) -> FactorCer
     return FactorCertificate(False, violation=_lift_violation(violation, labels))
 
 
+def _vertex_deletions(g: Graph, size: int) -> Iterable[DeletionSpec]:
+    return (DeletionSpec.vertices(vs) for vs in combinations(range(g.n), size))
+
+
+def _first_refusal(
+    g: Graph, specs: Iterable[DeletionSpec], a: int, b: int
+) -> tuple[DeletionSpec, DeletionResult] | None:
+    """The first deletion, in the order given, whose deleted graph the
+    double-cover flow refuses an [a,b]-factor, or None."""
+    for spec in specs:
+        res = delete(g, spec)
+        if not ab_factor_exists(res.graph, a, b):
+            return spec, res
+    return None
+
+
+def _first_counterexample(
+    g: Graph, specs: Iterable[DeletionSpec], a: int, b: int, cap_n: int
+) -> Counterexample | None:
+    """``_first_refusal``, certified by the first violating S of the
+    refused deleted graph."""
+    refusal = _first_refusal(g, specs, a, b)
+    if refusal is None:
+        return None
+    spec, res = refusal
+    return Counterexample(spec, _refusal_cert(res.graph, res.original_labels, a, b, cap_n))
+
+
 # -- vertex deletion -------------------------------------------------------------
 
 
@@ -308,15 +328,14 @@ def check_vertex_deletion_all(
     witnesses: Iterable[Sequence[int]] | None = None,
     cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """Does G - V' have an [a,b]-factor for every n-subset V'?
 
     Default mode enumerates every n-subset and runs two independent
-    routes: the direct one finds a factor of each G - V', and the
-    criterion one demands deficiency >= b*n for every S with |S| >= n
-    (each such S contains an n-subset, and conversely).  The two verdicts
-    must agree.
+    routes: the direct one decides each G - V' by the double-cover flow,
+    and the criterion one demands deficiency >= b*n for every S with
+    |S| >= n (each such S contains an n-subset, and conversely).  The two
+    verdicts must agree.
 
     Explicit ``deletions`` restrict the check to chosen n-subsets, e.g.
     the deletion exhibited by the sharpness construction; optional
@@ -331,13 +350,17 @@ def check_vertex_deletion_all(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     params = {"a": a, "b": b, "n": n}
-    premises = theorem_premises("A", g, a=a, b=b, n=n)
     if deletions is None:
-        conclusion, counterexample, crit_witness = _vertex_deletion_full(
-            g, a, b, n, cap_n, cap_deletions, budget
-        )
+        if g.n > cap_n:
+            raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
+        total = comb(g.n, n)
+        if total > cap_deletions:
+            raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
+        premises = theorem_premises("A", g, a=a, b=b, n=n)
+        conclusion, counterexample, crit_witness = _vertex_deletion_full(g, a, b, n, cap_n)
         witnesses_out = (crit_witness,) if crit_witness else ()
     else:
+        premises = theorem_premises("A", g, a=a, b=b, n=n)
         conclusion, counterexample, witnesses_out = _vertex_deletion_targeted(
             g, a, b, n, deletions, witnesses, cap_n
         )
@@ -346,22 +369,8 @@ def check_vertex_deletion_all(
     )
 
 
-def _vertex_deletion_full(g, a, b, n, cap_n, cap_deletions, budget):
-    if g.n > cap_n:
-        raise CapExceeded(
-            f"subset enumeration capped at {cap_n} vertices, got {g.n}"
-        )
-    total = comb(g.n, n)
-    if total > cap_deletions:
-        raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
-    direct_failure = None
-    for combo in combinations(range(g.n), n):
-        res = delete_vertices(g, combo)
-        cert = find_ab_factor(res.graph, a, b, budget=budget, cert_cap=0)
-        if not cert.exists:
-            full = _refusal_cert(res.graph, res.original_labels, a, b, cap_n)
-            direct_failure = Counterexample(DeletionSpec.vertices(combo), full)
-            break
+def _vertex_deletion_full(g, a, b, n, cap_n):
+    direct_failure = _first_counterexample(g, _vertex_deletions(g, n), a, b, cap_n)
     violation = scan_deficiency(g, a, b, bound=b * n, min_size=n, cap_n=cap_n)
     if (direct_failure is None) != (violation is None):
         raise RuntimeError(
@@ -435,12 +444,12 @@ def check_edge_deletion_star(
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     params = {"m": m, "n": n}
-    premises = theorem_premises("B", g, m=m, n=n)
     if g.n > cap_n:
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
     total = comb(g.edge_count, n) if g.edge_count >= n else 0
     if total > cap_deletions:
         raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
+    premises = theorem_premises("B", g, m=m, n=n)
     counterexample = None
     for eprime in combinations(g.edges, n):
         h = delete_edges(g, eprime)
@@ -498,7 +507,6 @@ def check_matching_deletion(
     *,
     cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """Does G - M have an [a,b]-factor for every n-matching M?"""
     if not 1 <= a < b:
@@ -506,7 +514,6 @@ def check_matching_deletion(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     params = {"a": a, "b": b, "n": n}
-    premises = theorem_premises("C", g, a=a, b=b, n=n)
     if g.n > cap_n:
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
     matchings = enumerate_matchings(g, n)
@@ -514,14 +521,10 @@ def check_matching_deletion(
         raise CapExceeded(
             f"{len(matchings)} matchings exceed the cap of {cap_deletions}"
         )
-    counterexample = None
-    for matching in matchings:
-        h = delete_edges(g, matching)
-        cert = find_ab_factor(h, a, b, budget=budget, cert_cap=0)
-        if not cert.exists:
-            full = _refusal_cert(h, tuple(range(g.n)), a, b, cap_n)
-            counterexample = Counterexample(DeletionSpec.matching(matching), full)
-            break
+    premises = theorem_premises("C", g, a=a, b=b, n=n)
+    counterexample = _first_counterexample(
+        g, map(DeletionSpec.matching, matchings), a, b, cap_n
+    )
     return AvoidanceVerdict(
         "C", params, premises, counterexample is None, counterexample
     )
@@ -644,7 +647,6 @@ def check_theorem_D(
     *,
     cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """If every n-subset deletion leaves an [a,b]-factor, so does every
     (n-1)-subset deletion.  The antecedent is recorded as a premise, so a
@@ -655,11 +657,13 @@ def check_theorem_D(
         raise ValueError(f"n must be >= 1, got {n}")
     if g.n > cap_n:
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
-    if comb(g.n, n) + comb(g.n, n - 1) > cap_deletions:
-        raise CapExceeded("deletion enumeration exceeds the cap")
+    total = comb(g.n, n) + comb(g.n, n - 1)
+    if total > cap_deletions:
+        raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
     params = {"a": a, "b": b, "n": n}
     premises = list(theorem_premises("D", g, a=a, b=b, n=n))
-    antecedent_fail = _first_vertex_deletion_failure(g, a, b, n, budget, cap_n)
+    # the antecedent is only recorded, so its refusal needs no certificate
+    antecedent_fail = _first_refusal(g, _vertex_deletions(g, n), a, b)
     if antecedent_fail is None:
         premises.append(
             Premise("antecedent", True, f"all {comb(g.n, n)} {n}-subset deletions admit factors")
@@ -669,10 +673,10 @@ def check_theorem_D(
             Premise(
                 "antecedent",
                 False,
-                f"G - {list(antecedent_fail.deletion.members)} admits no [{a},{b}]-factor",
+                f"G - {list(antecedent_fail[0].members)} admits no [{a},{b}]-factor",
             )
         )
-    consequent_fail = _first_vertex_deletion_failure(g, a, b, n - 1, budget, cap_n)
+    consequent_fail = _first_counterexample(g, _vertex_deletions(g, n - 1), a, b, cap_n)
     return AvoidanceVerdict(
         "D",
         params,
@@ -682,15 +686,6 @@ def check_theorem_D(
     )
 
 
-def _first_vertex_deletion_failure(g, a, b, size, budget, cap_n):
-    for combo in combinations(range(g.n), size):
-        res = delete_vertices(g, combo)
-        if not find_ab_factor(res.graph, a, b, budget=budget, cert_cap=0).exists:
-            cert = _refusal_cert(res.graph, res.original_labels, a, b, cap_n)
-            return Counterexample(DeletionSpec.vertices(combo), cert)
-    return None
-
-
 def check_theorem_E(
     g: Graph,
     a: int,
@@ -698,7 +693,6 @@ def check_theorem_E(
     *,
     cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """If the minimum degree reaches a+2 and G minus any vertex pair still
     has an [a,b]-factor, then G - e has one for every edge e.  The C(n,2)
@@ -712,14 +706,10 @@ def check_theorem_E(
     if total > cap_deletions:
         raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
     params = {"a": a, "b": b}
-    premises = theorem_premises("E", g, a=a, b=b, budget=budget)
-    counterexample = None
-    for e in g.edges:
-        h = delete_edges(g, [e])
-        if not find_ab_factor(h, a, b, budget=budget, cert_cap=0).exists:
-            cert = _refusal_cert(h, tuple(range(g.n)), a, b, cap_n)
-            counterexample = Counterexample(DeletionSpec.edge(*e), cert)
-            break
+    premises = theorem_premises("E", g, a=a, b=b)
+    counterexample = _first_counterexample(
+        g, (DeletionSpec.edge(*e) for e in g.edges), a, b, cap_n
+    )
     return AvoidanceVerdict(
         "E", params, premises, counterexample is None, counterexample
     )
@@ -742,6 +732,8 @@ def check_lemma_D1(
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if g.n > cap_n:
+        raise CapExceeded(f"deficiency scan capped at {cap_n} vertices, got {g.n}")
     params = {"a": a, "b": b, "n": n, "k": k}
     premises = theorem_premises("D1", g, a=a, b=b, n=n, k=k)
     violation = scan_deficiency(

@@ -222,14 +222,12 @@ def _parse_value(f, key: str, text: str):
 # -- evaluation -----------------------------------------------------------------
 
 
-def _premises_hold(cell: Cell, g, budget: int, cap_n: int, cap_deletions: int) -> bool:
+def _premises_hold(cell: Cell, g, cap_n: int, cap_deletions: int) -> bool:
     """Rejection-sampling filter.  An E draw beyond the caps skips the
     C(n,2) pair deletions and is kept on its minimum degree alone; its
     evaluation then reports it capped, before any premise work."""
     with_pairs = g.n <= cap_n and comb(g.n, 2) <= cap_deletions
-    prem = theorem_premises(
-        cell.theorem, g, budget=budget, with_pair_deletions=with_pairs, **cell.params
-    )
+    prem = theorem_premises(cell.theorem, g, with_pair_deletions=with_pairs, **cell.params)
     return all(p.holds for p in prem)
 
 
@@ -266,7 +264,7 @@ def _evaluate_instance(payload: dict) -> dict:
     return row
 
 
-def _evaluate_extremal(index: int, quad, cap_n: int, budget: int) -> dict:
+def _evaluate_extremal(index: int, quad, cap_n: int) -> dict:
     m, a, b, n = quad
     w = build_extremal_H(m, a, b, n)
     thr = threshold("A", a=a, b=b, n=n)
@@ -275,7 +273,6 @@ def _evaluate_extremal(index: int, quad, cap_n: int, budget: int) -> dict:
         deletions=[w.default_v0()],
         witnesses=[w.clique_small],
         cap_n=cap_n,
-        budget=budget,
     )
     row = {
         "index": index,
@@ -373,9 +370,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                         break
                     draws += 1
                     g = generate_random(ng, p, seed)
-                    if not _premises_hold(
-                        cell, g, config.budget, config.cap_n, config.cap_deletions
-                    ):
+                    if not _premises_hold(cell, g, config.cap_n, config.cap_deletions):
                         rejected += 1
                         continue
                     kept += 1
@@ -414,7 +409,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         rows = [_evaluate_instance(p) for p in pending]
 
     for quad in config.extremal:
-        rows.append(_evaluate_extremal(index, quad, config.cap_n, config.budget))
+        rows.append(_evaluate_extremal(index, quad, config.cap_n))
         index += 1
 
     rows.sort(key=lambda r: r["index"])

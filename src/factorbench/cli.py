@@ -137,7 +137,6 @@ def cmd_extremal(args) -> int:
         deletions=[w.default_v0()],
         witnesses=[w.clique_small],
         cap_n=args.cap_n,
-        budget=args.budget,
     )
     refutation = verdict.counterexample
     cert = refutation.certificate.violation if refutation is not None else None
@@ -200,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-deletions", type=int, default=cap_del_default,
                        help="max enumerated deletions per instance")
         p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                       help="node budget for the constructive search")
+                       help="node budget for the constructive search (factor --find or "
+                       "a = b, avoid --mode edges|edge); flow-decided checks ignore it")
 
     p = sub.add_parser("toughness", help="exact isolated toughness, one graph6 line each")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")

@@ -3,6 +3,7 @@ sharpness construction."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from factorbench import (
     CapExceeded,
+    DeletionSpec,
     Graph,
     build_extremal_H,
     complete_graph,
     cycle_graph,
+    delete,
     delete_vertices,
     generate_random,
     path_graph,
@@ -21,6 +24,8 @@ from factorbench import (
 )
 from factorbench import avoidance
 from factorbench.avoidance import (
+    Counterexample,
+    Premise,
     _first_rho_violation,
     check_edge_avoiding,
     check_edge_deletion_star,
@@ -35,6 +40,7 @@ from factorbench.avoidance import (
 )
 from factorbench.factors import (
     FactorCertificate,
+    FactorViolation,
     brute_force_factor,
     delta,
     find_ab_factor,
@@ -121,18 +127,15 @@ def test_targeted_mode_on_positive_instance():
 
 def test_targeted_mode_needs_no_search_budget():
     # the largest sharpness instance: the witness refutes and the flow
-    # confirms, with a budget no constructive search could live with
+    # confirms, where no constructive search runs
     w = build_extremal_H(3, 3, 4, 1)
     verdict = check_vertex_deletion_all(
-        w.graph, 3, 4, 1,
-        deletions=[w.default_v0()], witnesses=[w.clique_small], budget=1,
+        w.graph, 3, 4, 1, deletions=[w.default_v0()], witnesses=[w.clique_small]
     )
     assert not verdict.conclusion_holds
     assert verdict.counterexample.certificate.violation.s == w.clique_small
     # no witness at all: the flow decides the positive instance
-    verdict = check_vertex_deletion_all(
-        complete_graph(6), 2, 3, 1, deletions=[(0,)], budget=1
-    )
+    verdict = check_vertex_deletion_all(complete_graph(6), 2, 3, 1, deletions=[(0,)])
     assert verdict.conclusion_holds
 
 
@@ -383,17 +386,33 @@ def test_theorem_e_proof_step_single_vertex_sets():
         assert delta(g, [v], 2, 3) == 3 >= 2
 
 
-def test_theorem_e_cap_is_checked_before_premises(monkeypatch):
+@pytest.mark.parametrize(
+    "g, check, match",
+    [
+        (complete_graph(7), lambda g: check_vertex_deletion_all(g, 2, 3, 1, cap_n=6),
+         "capped at 6 vertices, got 7"),
+        (complete_graph(7), lambda g: check_edge_deletion_star(g, 2, 1, cap_n=6),
+         "capped at 6 vertices, got 7"),
+        (complete_graph(7), lambda g: check_matching_deletion(g, 2, 3, 1, cap_n=6),
+         "capped at 6 vertices, got 7"),
+        (complete_graph(7), lambda g: check_lemma_D1(g, 2, 3, 1, 2, cap_n=6),
+         "capped at 6 vertices, got 7"),
+        # K7 has 21 vertex pairs and 21 edges
+        (complete_graph(7), lambda g: check_theorem_E(g, 2, 3, cap_deletions=20),
+         "21 deletions exceed the cap of 20"),
+        # the pair deletions count even with the 7 edges of C7
+        (cycle_graph(7), lambda g: check_theorem_E(g, 2, 3, cap_deletions=20),
+         "21 deletions"),
+    ],
+    ids=["A-full", "B", "C", "D1", "E", "E-sparse"],
+)
+def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
     def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("premises evaluated before the deletion cap")
+        raise AssertionError("premises evaluated before the cap")
 
     monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
-    g = complete_graph(7)  # 21 vertex pairs and 21 edges
-    with pytest.raises(CapExceeded, match="21 deletions exceed the cap of 20"):
-        check_theorem_E(g, 2, 3, cap_deletions=20)
-    sparse = cycle_graph(7)  # the pair deletions count even with 7 edges
-    with pytest.raises(CapExceeded, match="21 deletions"):
-        check_theorem_E(sparse, 2, 3, cap_deletions=20)
+    with pytest.raises(CapExceeded, match=match):
+        check(g)
 
 
 def test_theorem_e_cap_admits_exact_fit():
@@ -407,6 +426,9 @@ def test_theorem_e_cap_admits_exact_fit():
 def test_theorem_d_k7_verified():
     verdict = check_theorem_D(complete_graph(7), 2, 3, 2)
     assert verdict.premises_hold and verdict.conclusion_holds
+    # C(7,2) + C(7,1) = 28 deletions in all
+    with pytest.raises(CapExceeded, match="28 deletions exceed the cap of 27"):
+        check_theorem_D(complete_graph(7), 2, 3, 2, cap_deletions=27)
 
 
 def test_theorem_d_n1_reduces_to_whole_graph():
@@ -452,6 +474,121 @@ def test_lemma_d1_conclusion_violation_is_certified():
         cert = verdict.counterexample.certificate.violation
         assert delta(g, cert.s, 2, 3) == cert.delta < cert.bound == 2
         assert low_set(g, cert.s, 2) == cert.t != ()
+
+
+# -- the shared refusal loop ------------------------------------------------------------------
+
+
+def reference_counterexample(g, specs, a, b):
+    """First deletion whose deleted graph the backtracking search refuses,
+    certified by the first S of negative deficiency in size-then-
+    lexicographic order, from the public delta and low_set."""
+    for spec in specs:
+        res = delete(g, spec)
+        h = res.graph
+        if find_ab_factor(h, a, b, cert_cap=0).exists:
+            continue
+        lift = res.original_labels
+        for k in range(h.n + 1):
+            for s in combinations(range(h.n), k):
+                d = delta(h, s, a, b)
+                if d < 0:
+                    violation = FactorViolation(
+                        tuple(lift[x] for x in s), tuple(lift[x] for x in low_set(h, s, a)), d
+                    )
+                    return Counterexample(spec, FactorCertificate(False, violation=violation))
+        raise AssertionError(f"the search refuses G - {spec} but no S is deficient")
+    return None
+
+
+def vertex_specs(g, size):
+    return [DeletionSpec.vertices(vs) for vs in combinations(range(g.n), size)]
+
+
+@st.composite
+def small_graph_and_bounds(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    edges = [p for p in pairs if draw(st.booleans())]
+    if draw(st.booleans()):  # complements reach the minimum degree of E
+        edges = [p for p in pairs if p not in edges]
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(a + 1, 4))
+    return Graph(n, edges), a, b, draw(st.integers(1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graph_and_bounds())
+@example((complete_graph(7), 2, 3, 2))  # every statement verified
+@example((cycle_graph(6), 2, 3, 1))  # A refuted, D vacuous
+# K(3,4) minus two vertices of the 3-side is a star with 4 leaves: the
+# pair premise of E fails although the minimum degree reaches a + 2
+@example((Graph(7, [(u, v) for u in range(3) for v in range(3, 7)]), 1, 2, 1))
+def test_refusal_loop_matches_search_reference(case):
+    g, a, b, n = case
+    ref = reference_counterexample
+
+    def verdict_parts(v):
+        return v.premises, v.conclusion_holds, v.counterexample
+
+    expected_a = ref(g, vertex_specs(g, n), a, b)
+    assert verdict_parts(check_vertex_deletion_all(g, a, b, n)) == (
+        theorem_premises("A", g, a=a, b=b, n=n), expected_a is None, expected_a
+    )
+    matchings = [DeletionSpec.matching(m) for m in enumerate_matchings(g, n)]
+    expected_c = ref(g, matchings, a, b)
+    assert verdict_parts(check_matching_deletion(g, a, b, n)) == (
+        theorem_premises("C", g, a=a, b=b, n=n), expected_c is None, expected_c
+    )
+    # the antecedent of D is the conclusion of A
+    expected_d = ref(g, vertex_specs(g, n - 1), a, b)
+    detail = (
+        f"all {comb(g.n, n)} {n}-subset deletions admit factors"
+        if expected_a is None
+        else f"G - {list(expected_a.deletion.members)} admits no [{a},{b}]-factor"
+    )
+    premises_d = theorem_premises("D", g, a=a, b=b, n=n) + (
+        Premise("antecedent", expected_a is None, detail),
+    )
+    assert verdict_parts(check_theorem_D(g, a, b, n)) == (
+        premises_d, expected_d is None, expected_d
+    )
+    premises_e = theorem_premises("E", g, a=a, b=b)
+    d_min = g.min_degree()
+    min_degree = Premise(
+        "min_degree", d_min >= a + 2, f"min degree {d_min} {'>=' if d_min >= a + 2 else '<'} {a + 2}"
+    )
+    pair = ref(g, vertex_specs(g, 2), a, b)
+    if not min_degree.holds:
+        detail = "not evaluated: the minimum-degree premise already fails"
+    elif pair is None:
+        detail = f"all {comb(g.n, 2)} vertex-pair deletions admit [{a},{b}]-factors"
+    else:
+        detail = "G - {{{}, {}}} admits no [{},{}]-factor".format(*pair.deletion.members, a, b)
+    assert premises_e == (
+        min_degree, Premise("pair_deletions", min_degree.holds and pair is None, detail)
+    )
+    expected_e = ref(g, [DeletionSpec.edge(*e) for e in g.edges], a, b)
+    assert verdict_parts(check_theorem_E(g, a, b)) == (
+        premises_e, expected_e is None, expected_e
+    )
+
+
+@pytest.mark.parametrize("g", [complete_graph(7), cycle_graph(5)], ids=["K7", "C5"])
+def test_flow_decided_checks_never_search(monkeypatch, g):
+    def no_search(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("the constructive search ran")
+
+    monkeypatch.setattr(avoidance, "find_ab_factor", no_search)
+    outcomes = {"verified", "vacuous", "counterexample"}
+    for a, b in [(1, 2), (2, 3)]:
+        assert check_vertex_deletion_all(g, a, b, 1).outcome in outcomes
+        assert check_matching_deletion(g, a, b, 1).outcome in outcomes
+        assert check_theorem_D(g, a, b, 2).outcome in outcomes
+        assert check_theorem_E(g, a, b).outcome in outcomes
+        assert [p.name for p in theorem_premises("E", g, a=a, b=b)] == [
+            "min_degree", "pair_deletions"
+        ]
 
 
 # -- premises helper ------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_avoid_runs_the_check_bound_on_avoidance(tmp_path, capsys, monkeypatch):
         capsys, ["avoid", str(path), "--mode", "matching", "--a", "1", "--b", "2", "--n", "1"]
     )
     assert code == 0 and json.loads(out)["outcome"] == "verified"
-    assert calls == [(5, 1, 2, 1, ["budget", "cap_deletions", "cap_n"])]
+    assert calls == [(5, 1, 2, 1, ["cap_deletions", "cap_n"])]
 
 
 def test_avoid_cap_exit_code(tmp_path, capsys):
