@@ -5,15 +5,17 @@ premises (minimum degree, isolated-toughness bound, parameter ranges) are
 recorded one by one, the conclusion is verified by exhaustive enumeration
 of the deleted objects, and any failure is returned as a re-verifiable
 certificate.  Each deleted graph is decided by the double-cover flow, and
-a refusal is certified by its first violating set.  Wherever an
-independent criterion route exists alongside the direct route, both are
-executed and compared; a disagreement is a bug, not a verdict.
+a refusal is certified by its first violating set.  A factor the flow
+builds is re-verified, and wherever an independent criterion route
+exists alongside the direct route, the two must agree; a disagreement is
+a bug, not a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -28,12 +30,11 @@ from .factors import (
     check_star_factor,
     deficient_sets,
     delta,
-    find_ab_factor,
     find_star_factor,
     low_set,
     scan_deficiency,
 )
-from .flow import ab_factor_exists
+from .flow import ab_factor, ab_factor_exists
 from .graphs import DeletionSpec, DeletionResult, Graph, delete, delete_edges
 from .toughness import isolated_toughness, threshold
 
@@ -230,7 +231,7 @@ THEOREMS = {
         Theorem("E", "check_theorem_E", ("a", "b"), _CAPS, _pair_premises, ("ab",)),
         Theorem("D1", "check_lemma_D1", ("a", "b", "n", "k"), ("cap_n",),
                 _degree_and_toughness("D1"), ("ab", "n", "k")),
-        Theorem("LemmaH", "check_edge_avoiding", ("edge", "a", "b"), ("cap_n", "budget"),
+        Theorem("LemmaH", "check_edge_avoiding", ("edge", "a", "b"), ("cap_n",),
                 lambda g, **_: (), mode="edge"),
     )
 }
@@ -356,14 +357,12 @@ def check_vertex_deletion_all(
         total = comb(g.n, n)
         if total > cap_deletions:
             raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
-        premises = theorem_premises("A", g, a=a, b=b, n=n)
-        conclusion, counterexample, crit_witness = _vertex_deletion_full(g, a, b, n, cap_n)
-        witnesses_out = (crit_witness,) if crit_witness else ()
+        decide = partial(_vertex_deletion_full, g, a, b, n, cap_n)
     else:
-        premises = theorem_premises("A", g, a=a, b=b, n=n)
-        conclusion, counterexample, witnesses_out = _vertex_deletion_targeted(
-            g, a, b, n, deletions, witnesses, cap_n
-        )
+        specs, witness_sets = _targeted_inputs(g, n, deletions, witnesses)
+        decide = partial(_vertex_deletion_targeted, g, a, b, specs, witness_sets, cap_n)
+    premises = theorem_premises("A", g, a=a, b=b, n=n)
+    conclusion, counterexample, witnesses_out = decide()
     return AvoidanceVerdict(
         "A", params, premises, conclusion, counterexample, witnesses_out
     )
@@ -377,25 +376,36 @@ def _vertex_deletion_full(g, a, b, n, cap_n):
             "direct and criterion routes disagree on vertex deletions; "
             f"direct={direct_failure}, criterion={violation}"
         )
-    crit_witness = violation.s if violation is not None else None
-    return direct_failure is None, direct_failure, crit_witness
+    witnesses = (violation.s,) if violation is not None and violation.s else ()
+    return direct_failure is None, direct_failure, witnesses
 
 
-def _vertex_deletion_targeted(g, a, b, n, deletions, witnesses, cap_n):
-    witness_sets = [tuple(sorted(w)) for w in witnesses] if witnesses else []
-    tried = tuple(witness_sets)
+def _targeted_inputs(g, n, deletions, witnesses):
+    """The chosen deletions as specs and the witnesses as sorted tuples,
+    each checked against G before any premise or deletion work."""
+    witness_sets = tuple(tuple(sorted(w)) for w in witnesses or ())
+    for w in witness_sets:
+        DeletionSpec.vertices(w).validate(g)
+    specs = []
     for raw in deletions:
-        v0 = tuple(sorted(raw))
+        v0 = tuple(sorted(set(raw)))
         if len(v0) != n:
             raise ValueError(f"deletion {v0} is not an n-subset for n={n}")
         spec = DeletionSpec.vertices(v0)
         spec.validate(g)
+        for w in witness_sets:
+            if set(w) & set(v0):
+                raise ValueError(f"witness {w} intersects the deleted set {v0}")
+        specs.append(spec)
+    return specs, witness_sets
+
+
+def _vertex_deletion_targeted(g, a, b, specs, witness_sets, cap_n):
+    for spec in specs:
         res = delete(g, spec)
         index = {old: new for new, old in enumerate(res.original_labels)}
         refuted = None
         for w in witness_sets:
-            if set(w) & set(v0):
-                raise ValueError(f"witness {w} intersects the deleted set {v0}")
             s_local = tuple(index[x] for x in w)
             d = delta(res.graph, s_local, a, b)
             if d < 0:
@@ -421,8 +431,8 @@ def _vertex_deletion_targeted(g, a, b, n, deletions, witnesses, cap_n):
                 "witness claims a violation but the flow decision finds a factor"
             )
         if refuted is not None:
-            return False, refuted, tried
-    return True, None, tried
+            return False, refuted, witness_sets
+    return True, None, witness_sets
 
 
 # -- edge deletion (star factors) ---------------------------------------------------
@@ -438,9 +448,10 @@ def check_edge_deletion_star(
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """Does G - E' have a spanning star forest with star sizes 1..m for
-    every n-subset E' of edges?  The criterion route checks each deleted
-    graph via the isolated-vertex inequality, the direct route builds the
-    forest; both must agree."""
+    every n-subset E' of edges?  The direct route builds the forest of
+    each deleted graph, from the double-cover flow for m >= 2 and by the
+    constructive search under ``budget`` for m = 1.  Where it finds none,
+    the criterion route must refuse as well and certifies the refusal."""
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     params = {"m": m, "n": n}
@@ -453,15 +464,13 @@ def check_edge_deletion_star(
     counterexample = None
     for eprime in combinations(g.edges, n):
         h = delete_edges(g, eprime)
+        if find_star_factor(h, m, budget=budget) is not None:
+            continue
         crit = check_star_factor(h, m, cap_n=cap_n)
-        forest = find_star_factor(h, m, budget=budget)
-        if crit.exists != (forest is not None):
+        if crit.exists:
             raise RuntimeError(
                 f"criterion and constructive star routes disagree on {eprime}"
             )
-        if forest is not None:
-            forest.validate(h, m)
-            continue
         # m = 1 refusals carry no deficiency certificate
         cert = FactorCertificate(False, violation=crit.violation)
         counterexample = Counterexample(DeletionSpec.edges(eprime), cert)
@@ -565,13 +574,11 @@ def check_edge_avoiding(
     b: int,
     *,
     cap_n: int = DEFAULT_CAP_N,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """Does G have an [a,b]-factor avoiding the fixed edge e?
 
-    The double-cover flow on G - e decides.  The direct route, a factor
-    of G - e found by search, must agree, and a factor it finds is
-    re-verified.  A refusal is certified by the criterion route: the
+    The double-cover flow on G - e decides and builds the factor, which
+    is re-verified.  A refusal is certified by the criterion route: the
     first S (size-then-lexicographic) whose deficiency in G falls below
     the penalty rho(S), reported with its deficiency in G - e."""
     if not 1 <= a < b:
@@ -583,14 +590,11 @@ def check_edge_avoiding(
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
     params = {"a": a, "b": b, "edge": [u, v]}
     g_prime = delete_edges(g, [(u, v)])
-    exists = ab_factor_exists(g_prime, a, b)
-    direct = find_ab_factor(g_prime, a, b, budget=budget, cert_cap=0)
-    if exists != direct.exists:
-        raise RuntimeError(f"flow and direct routes disagree for edge ({u}, {v})")
-    if exists:
-        if not direct.verify(g_prime, a, b):
+    factor = ab_factor(g_prime, a, b)
+    if factor is not None:
+        if not FactorCertificate(True, factor_edges=factor).verify(g_prime, a, b):
             raise RuntimeError(
-                f"the direct route's factor of G - ({u}, {v}) fails verification"
+                f"the flow's factor of G - ({u}, {v}) fails verification"
             )
         return AvoidanceVerdict("LemmaH", params, (), True, None)
     violation_s = _first_rho_violation(g, u, v, a, b)

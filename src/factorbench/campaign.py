@@ -99,6 +99,10 @@ class CampaignConfig:
                     a, b = pair
                     if not 1 <= a < b:
                         raise ValueError(f"config field '{key}': need 1 <= a < b, got {a}:{b}")
+            elif axis in ("m", "n"):
+                for v in getattr(self, f.name):
+                    if v < 1:
+                        raise ValueError(f"config field '{key}': need integers >= 1, got {v}")
             elif axis == "k":
                 for k in getattr(self, f.name):
                     if k != "b" and (not isinstance(k, int) or k < 2):

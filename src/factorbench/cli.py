@@ -27,7 +27,7 @@ from .avoidance import (
 )
 from .campaign import CampaignConfig, run_campaign
 from .errors import CapExceeded, GraphFormatError, SearchBudgetExceeded
-from .factors import DEFAULT_SEARCH_BUDGET, check_ab_factor, find_ab_factor, find_star_factor
+from .factors import DEFAULT_SEARCH_BUDGET, _peel_stars, check_ab_factor, find_ab_factor
 from .graphs import GRAPH6_MAX_N, build_extremal_H, emit_graph6, extremal_order, parse_graph6
 from .toughness import isolated_toughness, threshold
 
@@ -99,9 +99,7 @@ def cmd_factor(args) -> int:
             cert = find_ab_factor(g, args.a, args.b, budget=args.budget, cert_cap=args.cap_n)
     payload = cert.to_json_dict()
     if args.find and cert.exists and args.a == 1:
-        forest = find_star_factor(g, args.b, budget=args.budget)
-        if forest is not None:
-            payload["stars"] = forest.to_json_dict()
+        payload["stars"] = _peel_stars(g, cert.factor_edges, args.b).to_json_dict()
     _print_json(payload)
     return EXIT_OK if cert.exists else EXIT_NEGATIVE
 
@@ -199,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-deletions", type=int, default=cap_del_default,
                        help="max enumerated deletions per instance")
         p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                       help="node budget for the constructive search (factor --find or "
-                       "a = b, avoid --mode edges|edge); flow-decided checks ignore it")
+                       help="node budget for the constructive search (factor --find, "
+                       "factor with a = b, avoid --mode edges with m = 1); "
+                       "flow-decided checks ignore it")
 
     p = sub.add_parser("toughness", help="exact isolated toughness, one graph6 line each")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")

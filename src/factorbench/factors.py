@@ -4,8 +4,9 @@ The deficiency f(S) + sum_{x in T} (d_{G-S}(x) - g(x)), with T the
 vertices x of G-S of degree below g(x), decides (g,f)-factor existence
 (g < f, or a bipartite graph) and, as b|S| - a|T| + d_{G-S}(T), [a,b]-factor
 existence (a < b): the factor exists iff it is nonnegative for every S.
-Existence is decided by max-flow (``flow``); the one subset scan of the
-criterion, ``deficient_sets``, certifies refusals.  This module also houses
+Existence is decided by max-flow (``flow``), which also builds the
+[1,m]-factors of star forests; the one subset scan of the criterion,
+``deficient_sets``, certifies refusals.  This module also houses
 a constructive backtracking finder, an exhaustive oracle kept deliberately
 independent of the finder, star-factor machinery, and the
 maximal-independent-set / covering-set pair search used by the deficiency
@@ -19,7 +20,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, SearchBudgetExceeded
-from .flow import ab_factor_exists, gf_factor_exists
+from .flow import ab_factor, ab_factor_exists, gf_factor_exists
 from .graphs import Graph, vertex_mask
 
 DEFAULT_SCAN_CAP = 16
@@ -581,6 +582,8 @@ def find_star_factor(
     """Decompose a [1,m]-factor into a spanning star forest, or None when
     no such factor exists.
 
+    For m >= 2 the factor comes from the double-cover flow; for m = 1, a
+    perfect matching, from the constructive search under ``budget``.
     Every component of a [1,m]-factor has maximum degree <= m, so a rooted
     spanning tree of it has the same bound.  Peeling the deepest internal
     vertex together with its leaf children yields stars of at most m-1
@@ -590,10 +593,11 @@ def find_star_factor(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    cert = find_ab_factor(g, 1, m, budget=budget, cert_cap=0)
-    if not cert.exists:
-        return None
-    return _peel_stars(g, cert.factor_edges, m)
+    if m >= 2:
+        edges = ab_factor(g, 1, m)
+    else:
+        edges = find_ab_factor(g, 1, 1, budget=budget, cert_cap=0).factor_edges
+    return None if edges is None else _peel_stars(g, edges, m)
 
 
 def _peel_stars(g: Graph, factor_edges, m: int) -> StarForest:

@@ -1,4 +1,5 @@
-"""Polynomial (g,f)-factor decision by max-flow on the bipartite double cover.
+"""Polynomial (g,f)-factor decision by max-flow on the bipartite double cover,
+and [a,b]-factor construction (a < b) by rounding that flow.
 
 For g < f the criterion f(S) + sum_{x in T} (d_{G-S}(x) - g(x)) >= 0 carries
 no odd-component term (Lovasz 1970), and the same inequality characterises
@@ -21,14 +22,79 @@ from .graphs import Graph
 
 def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
     """Exact [a,b]-factor existence for 0 <= a < b in polynomial time."""
-    if not 0 <= a < b:
-        raise ValueError(f"the flow decision requires 0 <= a < b, got a={a}, b={b}")
-    return gf_factor_exists(g, (a,) * g.n, (b,) * g.n)
+    return _solve(g, *_uniform_bounds(g.n, a, b)) is not None
 
 
 def gf_factor_exists(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> bool:
     """Exact (g,f)-factor existence in polynomial time, for bounds with
-    0 <= lower < upper everywhere, or 0 <= lower <= upper on a bipartite G.
+    0 <= lower < upper everywhere, or 0 <= lower <= upper on a bipartite G."""
+    return _solve(g, lower, upper) is not None
+
+
+def ab_factor(g: Graph, a: int, b: int) -> tuple[tuple[int, int], ...] | None:
+    """An explicit [a,b]-factor for 0 <= a < b, as its sorted edge list, or
+    None when none exists.
+
+    The flow's double-cover subgraph F gives each edge the value
+    x(uv) = (F(u'v'') + F(v'u'')) / 2 in {0, 1/2, 1}, and the x-degree of
+    every vertex lies in [a, b].  The edges with x = 1 are kept and the half
+    edges are rounded along maximal trails, alternately up and down, so a
+    trail passing through a vertex leaves its x-degree unchanged and only
+    its ends move: each by 1/2, or the start by 0 or 1 when the trail
+    closes.  A trail that does not close gets stuck at a vertex with an odd
+    number of half edges, whose x-degree is a half-integer in [a, b], so
+    either move fits there.  A trail starts up when the x-degree of its
+    start, rounded down, is below b, and else down, which stays at least a
+    because a < b.  So every x-degree stays in [a, b] until no half edge is
+    left (Lovasz 1970; Anstee 1985).
+    """
+    n = g.n
+    cap = _solve(g, *_uniform_bounds(n, a, b))
+    if cap is None:
+        return None
+    out_f = [0] * n  # the v with F(u'v'') = 1
+    in_f = [0] * n  # the v with F(v'u'') = 1
+    k = 0
+    for u in range(n):
+        rest = g.adj[u]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if not cap[2 * k]:  # the k-th arc u'v'' is saturated
+                out_f[u] |= bit
+                in_f[bit.bit_length() - 1] |= 1 << u
+            k += 1
+    factor = [out_f[u] & in_f[u] for u in range(n)]  # x = 1, then rounded up
+    half = [out_f[u] ^ in_f[u] for u in range(n)]  # x = 1/2, not yet rounded
+
+    def walk(u: int, up: bool) -> None:
+        """Round the half edges of a maximal trail from u."""
+        while half[u]:
+            bit = half[u] & -half[u]
+            v = bit.bit_length() - 1
+            half[u] ^= bit
+            half[v] ^= 1 << u
+            if up:
+                factor[u] |= bit
+                factor[v] |= 1 << u
+            up = not up
+            u = v
+
+    for u in range(n):
+        while half[u]:
+            walk(u, factor[u].bit_count() + half[u].bit_count() // 2 < b)
+    return tuple((u, v) for u, v in g.edges if factor[u] >> v & 1)
+
+
+def _uniform_bounds(n: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if not 0 <= a < b:
+        raise ValueError(f"the flow decision requires 0 <= a < b, got a={a}, b={b}")
+    return (a,) * n, (b,) * n
+
+
+def _solve(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> list[int] | None:
+    """Residual capacities of a flow meeting every lower bound, or None
+    when none does.
 
     The flow runs s -> u' with bounds [g(u), f(u)], u' -> v'' with capacity
     1 for each ordered adjacent pair, and v'' -> t with bounds [g(v), f(v)].
@@ -36,12 +102,12 @@ def gf_factor_exists(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> bo
     a super-sink (g(v) out of every v''); the return arc t -> s can carry
     any amount, so s and t become one hub node that passes the f - g slack
     at each side.  The factor exists iff the super-source can push g(V)
-    units to the super-sink.
+    units to the super-sink.  The arcs u' -> v'' come first, in adjacency
+    order (u, then v, ascending): the k-th is arc 2k, and F(u'v'') = 1
+    exactly when its residual capacity is 0.
     """
     n = g.n
     total = sum(lower)
-    if total == 0:
-        return True
     adj = g.adj
     # nodes: u' = u, v'' = n + v, hub, super-source, super-sink
     hub, source, sink = 2 * n, 2 * n + 1, 2 * n + 2
@@ -75,7 +141,7 @@ def gf_factor_exists(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> bo
                 flow += 1
             arc(u, n + v, 1, used)
     if flow == total:
-        return True
+        return cap
     for u in range(n):
         lo, slack = lower[u], upper[u] - lower[u]
         arc(source, u, lo, lo - need[u])
@@ -97,7 +163,7 @@ def gf_factor_exists(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> bo
                     level[y] = nxt
                     queue.append(y)
         if level[sink] < 0:
-            return False
+            return None
         it = [0] * nodes
         path: list[int] = []
         x = source
@@ -109,7 +175,7 @@ def gf_factor_exists(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> bo
                     cap[e ^ 1] += push
                 flow += push
                 if flow == total:
-                    return True
+                    return cap
                 path.clear()
                 x = source
                 continue

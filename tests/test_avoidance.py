@@ -22,7 +22,7 @@ from factorbench import (
     path_graph,
     star_graph,
 )
-from factorbench import avoidance
+from factorbench import avoidance, factors
 from factorbench.avoidance import (
     Counterexample,
     Premise,
@@ -42,8 +42,10 @@ from factorbench.factors import (
     FactorCertificate,
     FactorViolation,
     brute_force_factor,
+    check_star_factor,
     delta,
     find_ab_factor,
+    find_star_factor,
     low_set,
 )
 from factorbench.toughness import threshold
@@ -116,6 +118,29 @@ def test_targeted_mode_rejects_overlapping_witness():
     v0 = w.default_v0()
     with pytest.raises(ValueError, match="intersects"):
         check_vertex_deletion_all(w.graph, 2, 3, 1, deletions=[v0], witnesses=[v0])
+
+
+@pytest.mark.parametrize(
+    "n, deletions, witnesses, match",
+    [
+        (1, [(0, 1)], None, "not an n-subset"),
+        (2, [(0, 0)], None, r"deletion \(0,\) is not an n-subset"),
+        (1, [(99,)], None, "not a vertex"),
+        (1, [(0,)], [(99,)], "not a vertex"),
+        (1, [(1,), (0,)], [(0, 2)], "intersects"),
+    ],
+    ids=["wrong-size", "repeated-vertex", "deletion-outside", "witness-outside",
+         "second-deletion-overlaps"],
+)
+def test_targeted_mode_validates_before_premises(monkeypatch, n, deletions, witnesses, match):
+    def premises(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("premises computed before the inputs were validated")
+
+    monkeypatch.setattr(avoidance, "theorem_premises", premises)
+    with pytest.raises(ValueError, match=match):
+        check_vertex_deletion_all(
+            complete_graph(6), 2, 3, n, deletions=deletions, witnesses=witnesses
+        )
 
 
 def test_targeted_mode_on_positive_instance():
@@ -335,29 +360,15 @@ def test_edge_avoiding_matches_oracle_and_reference_scan(case):
         assert cert.verify(g_minus_e, a, b)
 
 
-@pytest.mark.parametrize(
-    "g, forced",
-    [(complete_graph(4), False), (cycle_graph(4), True)],
-    ids=["K4-flow-refuses", "C4-flow-accepts"],
-)
-def test_edge_avoiding_flow_against_direct_raises(monkeypatch, g, forced):
-    monkeypatch.setattr(avoidance, "ab_factor_exists", lambda g, a, b: forced)
-    with pytest.raises(RuntimeError, match="flow and direct routes disagree"):
-        check_edge_avoiding(g, (0, 1), 2, 3)
-
-
 def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
-    monkeypatch.setattr(avoidance, "ab_factor_exists", lambda g, a, b: False)
-    monkeypatch.setattr(
-        avoidance, "find_ab_factor", lambda g, a, b, **kw: FactorCertificate(False)
-    )
+    monkeypatch.setattr(avoidance, "ab_factor", lambda g, a, b: None)
     with pytest.raises(RuntimeError, match="criterion and flow routes disagree"):
         check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
 
 def test_edge_avoiding_rejects_an_invalid_direct_factor(monkeypatch):
-    bogus = FactorCertificate(True, factor_edges=((0, 1),))  # the avoided edge
-    monkeypatch.setattr(avoidance, "find_ab_factor", lambda g, a, b, **kw: bogus)
+    # the avoided edge alone
+    monkeypatch.setattr(avoidance, "ab_factor", lambda g, a, b: ((0, 1),))
     with pytest.raises(RuntimeError, match="fails verification"):
         check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
@@ -574,12 +585,19 @@ def test_refusal_loop_matches_search_reference(case):
     )
 
 
-@pytest.mark.parametrize("g", [complete_graph(7), cycle_graph(5)], ids=["K7", "C5"])
+TRIANGLE_WITH_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(7), cycle_graph(5), star_graph(3), TRIANGLE_WITH_TAIL],
+    ids=["K7", "C5", "claw", "triangle-tail"],
+)
 def test_flow_decided_checks_never_search(monkeypatch, g):
     def no_search(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("the constructive search ran")
 
-    monkeypatch.setattr(avoidance, "find_ab_factor", no_search)
+    monkeypatch.setattr(factors, "_search_factor", no_search)
     outcomes = {"verified", "vacuous", "counterexample"}
     for a, b in [(1, 2), (2, 3)]:
         assert check_vertex_deletion_all(g, a, b, 1).outcome in outcomes
@@ -589,6 +607,22 @@ def test_flow_decided_checks_never_search(monkeypatch, g):
         assert [p.name for p in theorem_premises("E", g, a=a, b=b)] == [
             "min_degree", "pair_deletions"
         ]
+        # Lemma H takes its factor of G - e from the flow
+        for e in g.edges:
+            g_minus_e = Graph(g.n, [x for x in g.edges if x != e])
+            verdict = check_edge_avoiding(g, e, a, b)
+            assert verdict.conclusion_holds == brute_force_factor(g_minus_e, a, b)
+    # so do B and find_star_factor with m >= 2, for the [1,m]-factor they peel
+    for m in (2, 3, 4):
+        forest = find_star_factor(g, m)
+        assert (forest is not None) == check_star_factor(g, m).exists
+        if forest is not None:
+            forest.validate(g, m)
+        verdict = check_edge_deletion_star(g, m, 1)
+        assert verdict.conclusion_holds == all(
+            check_star_factor(Graph(g.n, [x for x in g.edges if x != e]), m).exists
+            for e in g.edges
+        )
 
 
 # -- premises helper ------------------------------------------------------------------------

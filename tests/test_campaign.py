@@ -123,6 +123,9 @@ def test_config_bad_value_names_field():
         CampaignConfig.from_text("A.ab = 2:3:4\n")
     with pytest.raises(ValueError, match=r"field 'extremal': need m:a:b:n quads, got \(1, 2, 3\)"):
         CampaignConfig.from_text("extremal = 1:2:3\n")
+    for key in ("A.n", "B.n", "B.m", "C.n", "D.n", "D1.n"):
+        with pytest.raises(ValueError, match=rf"config field '{key}': need integers >= 1, got 0"):
+            CampaignConfig.from_text(f"{key} = 0\n")
 
 
 def test_config_rejects_extremal_beyond_graph6():

@@ -74,6 +74,16 @@ def test_factor_star_decomposition_included(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["stars"] == [{"center": 0, "leaves": [1, 2, 3]}]
+    # the forest is peeled from a spanning tree of the printed factor
+    for g, b in [(complete_graph(4), 3), (complete_graph(5), 2), (cycle_graph(5), 2)]:
+        path.write_text(emit_graph6(g) + "\n")
+        code, out, _ = run_cli(capsys, ["factor", str(path), "--a", "1", "--b", str(b), "--find"])
+        payload = json.loads(out)
+        factor = {tuple(e) for e in payload["factorEdges"]}
+        assert code == 0 and payload["stars"]
+        for star in payload["stars"]:
+            for leaf in star["leaves"]:
+                assert tuple(sorted((star["center"], leaf))) in factor
 
 
 def test_factor_parse_error_exit_code(tmp_path, capsys):
