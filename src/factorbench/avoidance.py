@@ -30,11 +30,11 @@ from .factors import (
     check_star_factor,
     deficient_sets,
     delta,
-    find_star_factor,
+    find_ab_factor,
     low_set,
     scan_deficiency,
 )
-from .flow import ab_factor, ab_factor_exists
+from .flow import ab_factor_exists
 from .graphs import DeletionSpec, DeletionResult, Graph, delete, delete_edges
 from .toughness import isolated_toughness, threshold
 
@@ -448,10 +448,11 @@ def check_edge_deletion_star(
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """Does G - E' have a spanning star forest with star sizes 1..m for
-    every n-subset E' of edges?  The direct route builds the forest of
-    each deleted graph, from the double-cover flow for m >= 2 and by the
-    constructive search under ``budget`` for m = 1.  Where it finds none,
-    the criterion route must refuse as well and certifies the refusal."""
+    every n-subset E' of edges?  For m >= 2 the forest is a [1,m]-factor,
+    so each G - E' is decided by the double-cover flow in the shared
+    refusal loop and a refusal carries its first violating S.  For m = 1,
+    a perfect matching, the constructive search under ``budget`` decides,
+    and the odd-component criterion must refuse as well."""
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     params = {"m": m, "n": n}
@@ -461,20 +462,22 @@ def check_edge_deletion_star(
     if total > cap_deletions:
         raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
     premises = theorem_premises("B", g, m=m, n=n)
-    counterexample = None
-    for eprime in combinations(g.edges, n):
-        h = delete_edges(g, eprime)
-        if find_star_factor(h, m, budget=budget) is not None:
-            continue
-        crit = check_star_factor(h, m, cap_n=cap_n)
-        if crit.exists:
-            raise RuntimeError(
-                f"criterion and constructive star routes disagree on {eprime}"
-            )
-        # m = 1 refusals carry no deficiency certificate
-        cert = FactorCertificate(False, violation=crit.violation)
-        counterexample = Counterexample(DeletionSpec.edges(eprime), cert)
-        break
+    specs = map(DeletionSpec.edges, combinations(g.edges, n))
+    if m >= 2:
+        counterexample = _first_counterexample(g, specs, 1, m, cap_n)
+    else:
+        counterexample = None
+        for spec in specs:
+            h = delete(g, spec).graph
+            if find_ab_factor(h, 1, 1, budget=budget, cert_cap=0).exists:
+                continue
+            if check_star_factor(h, 1, cap_n=cap_n).exists:
+                raise RuntimeError(
+                    f"criterion and constructive matching routes disagree on {spec.members}"
+                )
+            # a missing perfect matching carries no deficiency certificate
+            counterexample = Counterexample(spec, FactorCertificate(False))
+            break
     return AvoidanceVerdict(
         "B", params, premises, counterexample is None, counterexample
     )
@@ -577,10 +580,11 @@ def check_edge_avoiding(
 ) -> AvoidanceVerdict:
     """Does G have an [a,b]-factor avoiding the fixed edge e?
 
-    The double-cover flow on G - e decides and builds the factor, which
-    is re-verified.  A refusal is certified by the criterion route: the
-    first S (size-then-lexicographic) whose deficiency in G falls below
-    the penalty rho(S), reported with its deficiency in G - e."""
+    ``find_ab_factor`` decides G - e by the double-cover flow and
+    re-verifies the factor it builds.  A refusal is certified by the
+    criterion route: the first S (size-then-lexicographic) whose deficiency
+    in G falls below the penalty rho(S), reported with its deficiency in
+    G - e."""
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
@@ -590,12 +594,7 @@ def check_edge_avoiding(
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
     params = {"a": a, "b": b, "edge": [u, v]}
     g_prime = delete_edges(g, [(u, v)])
-    factor = ab_factor(g_prime, a, b)
-    if factor is not None:
-        if not FactorCertificate(True, factor_edges=factor).verify(g_prime, a, b):
-            raise RuntimeError(
-                f"the flow's factor of G - ({u}, {v}) fails verification"
-            )
+    if find_ab_factor(g_prime, a, b, cert_cap=0).exists:
         return AvoidanceVerdict("LemmaH", params, (), True, None)
     violation_s = _first_rho_violation(g, u, v, a, b)
     if violation_s is None:

@@ -90,13 +90,10 @@ def cmd_toughness(args) -> int:
 
 def cmd_factor(args) -> int:
     g = _first_graph(args.input)
-    if args.find:
-        cert = find_ab_factor(g, args.a, args.b, budget=args.budget, cert_cap=args.cap_n)
+    if args.a < args.b and not args.find:
+        cert = check_ab_factor(g, args.a, args.b, cap_n=args.cap_n)
     else:
-        if args.a < args.b:
-            cert = check_ab_factor(g, args.a, args.b, cap_n=args.cap_n)
-        else:
-            cert = find_ab_factor(g, args.a, args.b, budget=args.budget, cert_cap=args.cap_n)
+        cert = find_ab_factor(g, args.a, args.b, budget=args.budget, cert_cap=args.cap_n)
     payload = cert.to_json_dict()
     if args.find and cert.exists and args.a == 1:
         payload["stars"] = _peel_stars(g, cert.factor_edges, args.b).to_json_dict()
@@ -197,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-deletions", type=int, default=cap_del_default,
                        help="max enumerated deletions per instance")
         p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                       help="node budget for the constructive search (factor --find, "
-                       "factor with a = b, avoid --mode edges with m = 1); "
-                       "flow-decided checks ignore it")
+                       help="node budget for the constructive search (factor with "
+                       "a = b, avoid --mode edges with m = 1); flow-decided "
+                       "checks ignore it")
 
     p = sub.add_parser("toughness", help="exact isolated toughness, one graph6 line each")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")

@@ -4,11 +4,11 @@ The deficiency f(S) + sum_{x in T} (d_{G-S}(x) - g(x)), with T the
 vertices x of G-S of degree below g(x), decides (g,f)-factor existence
 (g < f, or a bipartite graph) and, as b|S| - a|T| + d_{G-S}(T), [a,b]-factor
 existence (a < b): the factor exists iff it is nonnegative for every S.
-Existence is decided by max-flow (``flow``), which also builds the
-[1,m]-factors of star forests; the one subset scan of the criterion,
-``deficient_sets``, certifies refusals.  This module also houses
-a constructive backtracking finder, an exhaustive oracle kept deliberately
-independent of the finder, star-factor machinery, and the
+Max-flow (``flow``) decides existence, and the one subset scan of the
+criterion, ``deficient_sets``, certifies refusals.  ``find_ab_factor``
+builds every explicit factor, star forests included: by rounding the flow
+for a < b, and by a budgeted backtracking search for a = b.  This module
+also houses an exhaustive oracle kept independent of both routes and the
 maximal-independent-set / covering-set pair search used by the deficiency
 lower-bound arguments.
 """
@@ -333,26 +333,30 @@ def find_ab_factor(
     budget: int = DEFAULT_SEARCH_BUDGET,
     cert_cap: int = DEFAULT_SCAN_CAP,
 ) -> FactorCertificate:
-    """Explicit [a,b]-factor by backtracking over edges (a = b allowed).
+    """An explicit [a,b]-factor (a = b allowed), re-verified, or a refusal.
 
-    Edges are decided at the vertex with the least remaining degree
-    freedom; forced decisions (a vertex at its upper bound, or one that
-    needs every remaining edge) are propagated before branching.  The
-    search is exhaustive, so no factor found means nonexistence; when
-    a < b and the graph fits the scan cap, the returned certificate also
-    carries the violating set.  Exceeding ``budget`` raises, which is
-    distinct from nonexistence.
+    For a < b the factor is rounded from the double-cover flow
+    (``flow.ab_factor``), in polynomial time and without ``budget``; a
+    refusal on at most ``cert_cap`` vertices carries the first violating
+    S of the deficiency scan.  For a = b the criterion has a parity term,
+    so the exhaustive backtracking search decides, and exceeding its
+    ``budget`` raises ``SearchBudgetExceeded``, which is distinct from
+    nonexistence.  A factor that fails ``FactorCertificate.verify`` is
+    raised as a bug.
     """
     _check_ab(a, b, strict=False)
     if a == 0 or g.n == 0:
         return FactorCertificate(exists=True, factor_edges=())
-    edges = _search_factor(g, a, b, budget)
-    if edges is not None:
-        return FactorCertificate(exists=True, factor_edges=edges)
-    if a < b and g.n <= cert_cap:
-        violation = _certify_refusal(g, DegreeBounds.uniform(a, b, g.n), cert_cap)
-        return FactorCertificate(exists=False, violation=violation)
-    return FactorCertificate(exists=False)
+    edges = ab_factor(g, a, b) if a < b else _search_factor(g, a, b, budget)
+    if edges is None:
+        if a < b and g.n <= cert_cap:
+            violation = _certify_refusal(g, DegreeBounds.uniform(a, b, g.n), cert_cap)
+            return FactorCertificate(exists=False, violation=violation)
+        return FactorCertificate(exists=False)
+    cert = FactorCertificate(exists=True, factor_edges=edges)
+    if not cert.verify(g, a, b):
+        raise RuntimeError(f"the built [{a},{b}]-factor fails verification: {edges}")
+    return cert
 
 
 _IN, _OUT, _UNDEC = 1, -1, 0
@@ -579,11 +583,10 @@ def _odd_components(adj: Sequence[int], keep: int) -> int:
 def find_star_factor(
     g: Graph, m: int, *, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> StarForest | None:
-    """Decompose a [1,m]-factor into a spanning star forest, or None when
-    no such factor exists.
+    """Decompose the [1,m]-factor of ``find_ab_factor`` into a spanning
+    star forest, or None when no such factor exists.  ``budget`` bounds
+    only the search for m = 1, a perfect matching.
 
-    For m >= 2 the factor comes from the double-cover flow; for m = 1, a
-    perfect matching, from the constructive search under ``budget``.
     Every component of a [1,m]-factor has maximum degree <= m, so a rooted
     spanning tree of it has the same bound.  Peeling the deepest internal
     vertex together with its leaf children yields stars of at most m-1
@@ -593,11 +596,8 @@ def find_star_factor(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m >= 2:
-        edges = ab_factor(g, 1, m)
-    else:
-        edges = find_ab_factor(g, 1, 1, budget=budget, cert_cap=0).factor_edges
-    return None if edges is None else _peel_stars(g, edges, m)
+    cert = find_ab_factor(g, 1, m, budget=budget, cert_cap=0)
+    return _peel_stars(g, cert.factor_edges, m) if cert.exists else None
 
 
 def _peel_stars(g: Graph, factor_edges, m: int) -> StarForest:

@@ -28,6 +28,8 @@ from factorbench.avoidance import (
 )
 from factorbench.campaign import CampaignConfig, run_campaign
 from factorbench.factors import (
+    DEFAULT_SEARCH_BUDGET,
+    _search_factor,
     brute_force_factor,
     check_ab_factor,
     check_star_factor,
@@ -95,6 +97,9 @@ def test_criterion_1_oracle_triangle(small_graphs, random_78):
             expected = brute_force_factor(g, a, b)
             assert check_ab_factor(g, a, b).exists == expected, (g, a, b)
             assert (scan_deficiency(g, a, b) is None) == expected, (g, a, b)
+            # the backtracking search stays an independent reference for a < b
+            searched = _search_factor(g, a, b, DEFAULT_SEARCH_BUDGET) is not None
+            assert searched == expected, (g, a, b)
             found = find_ab_factor(g, a, b)
             assert found.exists == expected, (g, a, b)
             if found.exists:

@@ -1,6 +1,7 @@
 """Avoidance checks: premises, dual routes, certificates, and the
 sharpness construction."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -18,11 +19,12 @@ from factorbench import (
     cycle_graph,
     delete,
     delete_vertices,
+    emit_graph6,
     generate_random,
     path_graph,
     star_graph,
 )
-from factorbench import avoidance, factors
+from factorbench import avoidance, cli, factors
 from factorbench.avoidance import (
     Counterexample,
     Premise,
@@ -39,6 +41,7 @@ from factorbench.avoidance import (
     theorem_premises,
 )
 from factorbench.factors import (
+    DEFAULT_SEARCH_BUDGET,
     FactorCertificate,
     FactorViolation,
     brute_force_factor,
@@ -361,14 +364,14 @@ def test_edge_avoiding_matches_oracle_and_reference_scan(case):
 
 
 def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
-    monkeypatch.setattr(avoidance, "ab_factor", lambda g, a, b: None)
+    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: None)
     with pytest.raises(RuntimeError, match="criterion and flow routes disagree"):
         check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
 
 def test_edge_avoiding_rejects_an_invalid_direct_factor(monkeypatch):
-    # the avoided edge alone
-    monkeypatch.setattr(avoidance, "ab_factor", lambda g, a, b: ((0, 1),))
+    # the avoided edge alone; find_ab_factor re-verifies what the flow built
+    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: ((0, 1),))
     with pytest.raises(RuntimeError, match="fails verification"):
         check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
@@ -497,7 +500,9 @@ def reference_counterexample(g, specs, a, b):
     for spec in specs:
         res = delete(g, spec)
         h = res.graph
-        if find_ab_factor(h, a, b, cert_cap=0).exists:
+        exists = factors._search_factor(h, a, b, DEFAULT_SEARCH_BUDGET) is not None
+        assert exists == find_ab_factor(h, a, b, cert_cap=0).exists
+        if exists:
             continue
         lift = res.original_labels
         for k in range(h.n + 1):
@@ -593,11 +598,13 @@ TRIANGLE_WITH_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     [complete_graph(7), cycle_graph(5), star_graph(3), TRIANGLE_WITH_TAIL],
     ids=["K7", "C5", "claw", "triangle-tail"],
 )
-def test_flow_decided_checks_never_search(monkeypatch, g):
+def test_flow_decided_checks_never_search(monkeypatch, tmp_path, capsys, g):
     def no_search(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("the constructive search ran")
 
     monkeypatch.setattr(factors, "_search_factor", no_search)
+    path = tmp_path / "g.g6"
+    path.write_text(emit_graph6(g) + "\n")
     outcomes = {"verified", "vacuous", "counterexample"}
     for a, b in [(1, 2), (2, 3)]:
         assert check_vertex_deletion_all(g, a, b, 1).outcome in outcomes
@@ -612,12 +619,28 @@ def test_flow_decided_checks_never_search(monkeypatch, g):
             g_minus_e = Graph(g.n, [x for x in g.edges if x != e])
             verdict = check_edge_avoiding(g, e, a, b)
             assert verdict.conclusion_holds == brute_force_factor(g_minus_e, a, b)
-    # so do B and find_star_factor with m >= 2, for the [1,m]-factor they peel
+        # and so do find_ab_factor and factor --find for a < b
+        found = find_ab_factor(g, a, b)
+        assert found.exists == brute_force_factor(g, a, b)
+        code = cli.main(["factor", str(path), "--a", str(a), "--b", str(b), "--find"])
+        assert code == (0 if found.exists else 1)
+        expected = found.to_json_dict()
+        if found.exists and a == 1:
+            expected["stars"] = find_star_factor(g, b).to_json_dict()
+        assert json.loads(capsys.readouterr().out) == expected
+    # find_star_factor with m >= 2 peels the flow's [1,m]-factor
     for m in (2, 3, 4):
         forest = find_star_factor(g, m)
         assert (forest is not None) == check_star_factor(g, m).exists
         if forest is not None:
             forest.validate(g, m)
+
+    # B with m >= 2 only decides each G - E', so it builds no forest either
+    def no_peel(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("a star forest was peeled")
+
+    monkeypatch.setattr(factors, "_peel_stars", no_peel)
+    for m in (2, 3, 4):
         verdict = check_edge_deletion_star(g, m, 1)
         assert verdict.conclusion_holds == all(
             check_star_factor(Graph(g.n, [x for x in g.edges if x != e]), m).exists

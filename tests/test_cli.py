@@ -98,7 +98,7 @@ def test_factor_budget_exit_code(tmp_path, capsys):
     path.write_text(emit_graph6(complete_graph(8)) + "\n")
     code, _, err = run_cli(
         capsys,
-        ["factor", str(path), "--a", "3", "--b", "4", "--find", "--budget", "2"],
+        ["factor", str(path), "--a", "3", "--b", "3", "--find", "--budget", "2"],
     )
     assert code == 3 and "budget" in err
 

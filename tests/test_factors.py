@@ -22,8 +22,10 @@ from factorbench import (
     star_graph,
 )
 from factorbench.factors import (
+    DEFAULT_SEARCH_BUDGET,
     DegreeBounds,
     FactorCertificate,
+    _search_factor,
     brute_force_factor,
     check_ab_factor,
     check_gf_factor,
@@ -325,9 +327,11 @@ def test_find_ab_factor_nonexistence_carries_criterion_certificate():
 
 
 def test_find_ab_factor_budget_is_distinct_from_nonexistence():
+    # only a = b searches; a < b is built from the flow and takes no budget
     g = complete_graph(8)
     with pytest.raises(SearchBudgetExceeded):
-        find_ab_factor(g, 3, 4, budget=2)
+        find_ab_factor(g, 3, 3, budget=2)
+    assert find_ab_factor(g, 3, 4, budget=2).exists
 
 
 def test_brute_force_edge_cap():
@@ -348,6 +352,7 @@ def test_oracle_triangle_small(n, ab):
     for g in all_graphs(n):
         expected = brute_force_factor(g, a, b)
         assert check_ab_factor(g, a, b).exists == expected
+        assert (_search_factor(g, a, b, DEFAULT_SEARCH_BUDGET) is not None) == expected
         found = find_ab_factor(g, a, b)
         assert found.exists == expected
         if found.exists:
