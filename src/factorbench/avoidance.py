@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .factors import (
@@ -35,7 +35,9 @@ from .factors import (
     scan_deficiency,
 )
 from .flow import ab_factor_exists
-from .graphs import DeletionSpec, DeletionResult, Graph, delete, delete_edges
+from .graphs import (
+    DeletionSpec, DeletionResult, ExtremalWitness, Graph, build_extremal_H, delete, delete_edges,
+)
 from .toughness import isolated_toughness, threshold
 
 DEFAULT_CAP_N = 12
@@ -272,6 +274,43 @@ def _pair_deletion_premise(g: Graph, a: int, b: int) -> Premise:
 # -- shared route helpers ------------------------------------------------------
 
 
+def _check_params(params: dict) -> None:
+    """Raise ``ValueError`` unless every parameter in ``params`` lies in
+    the range its statement is proved for: 1 <= a < b, m >= 1, n >= 1
+    and 2 <= k <= b.  Other keys are not checked."""
+    if "a" in params and not 1 <= params["a"] < params["b"]:
+        raise ValueError(f"need 1 <= a < b, got a={params['a']}, b={params['b']}")
+    for name in ("m", "n"):
+        if name in params and params[name] < 1:
+            raise ValueError(f"{name} must be >= 1, got {params[name]}")
+    if "k" in params and not 2 <= params["k"] <= params["b"]:
+        raise ValueError(f"need 2 <= k <= b, got k={params['k']}, b={params['b']}")
+
+
+def _gate(
+    g: Graph, params: dict, cap_n: int, deletions: Callable[[], int | Iterable] = lambda: 0,
+    cap_deletions: int = 0, what: str = "deletions",
+) -> list | None:
+    """The one range and cap check of every statement, run before any
+    premise or deletion work: ``params`` first, then the order of ``g``
+    against ``cap_n``, then the deleted objects against ``cap_deletions``.
+    ``deletions()`` is called only once the parameters are in range.  It
+    returns their number, or a lazy iterable of them, which is drawn at
+    most ``cap_deletions + 1`` times; the drawn list is then returned."""
+    _check_params(params)
+    if g.n > cap_n:
+        raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
+    count = deletions()
+    drawn = None
+    if not isinstance(count, int):
+        drawn = list(islice(count, cap_deletions + 1))
+        count = len(drawn)
+    if count > cap_deletions:
+        many = count if drawn is None else f"more than {cap_deletions}"
+        raise CapExceeded(f"{many} {what} exceed the cap of {cap_deletions}")
+    return drawn
+
+
 def _lift_violation(v: FactorViolation, labels: Sequence[int]) -> FactorViolation:
     return FactorViolation(
         tuple(labels[x] for x in v.s),
@@ -346,19 +385,12 @@ def check_vertex_deletion_all(
     refuse wherever a witness violates; a refusal no witness explains is
     certified by the deficiency scan when G - V' fits ``cap_n``.
     """
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     params = {"a": a, "b": b, "n": n}
     if deletions is None:
-        if g.n > cap_n:
-            raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
-        total = comb(g.n, n)
-        if total > cap_deletions:
-            raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
+        _gate(g, params, cap_n, lambda: comb(g.n, n), cap_deletions)
         decide = partial(_vertex_deletion_full, g, a, b, n, cap_n)
     else:
+        _check_params(params)
         specs, witness_sets = _targeted_inputs(g, n, deletions, witnesses)
         decide = partial(_vertex_deletion_targeted, g, a, b, specs, witness_sets, cap_n)
     premises = theorem_premises("A", g, a=a, b=b, n=n)
@@ -435,6 +467,22 @@ def _vertex_deletion_targeted(g, a, b, specs, witness_sets, cap_n):
     return True, None, witness_sets
 
 
+def extremal_sharpness(
+    m: int, a: int, b: int, n: int, *, cap_n: int = DEFAULT_CAP_N
+) -> tuple[ExtremalWitness, Fraction, AvoidanceVerdict]:
+    """The sharpness construction for A: H(m,a,b,n), the toughness
+    threshold of A at (a, b, n), and targeted A on H's default deletion V0
+    with its small clique as the witness, which must refute the factor."""
+    w = build_extremal_H(m, a, b, n)
+    verdict = check_vertex_deletion_all(
+        w.graph, a, b, n,
+        deletions=[w.default_v0()],
+        witnesses=[w.clique_small],
+        cap_n=cap_n,
+    )
+    return w, threshold("A", a=a, b=b, n=n), verdict
+
+
 # -- edge deletion (star factors) ---------------------------------------------------
 
 
@@ -453,14 +501,8 @@ def check_edge_deletion_star(
     refusal loop and a refusal carries its first violating S.  For m = 1,
     a perfect matching, the constructive search under ``budget`` decides,
     and the odd-component criterion must refuse as well."""
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     params = {"m": m, "n": n}
-    if g.n > cap_n:
-        raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
-    total = comb(g.edge_count, n) if g.edge_count >= n else 0
-    if total > cap_deletions:
-        raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
+    _gate(g, params, cap_n, lambda: comb(g.edge_count, n), cap_deletions)
     premises = theorem_premises("B", g, m=m, n=n)
     specs = map(DeletionSpec.edges, combinations(g.edges, n))
     if m >= 2:
@@ -491,24 +533,27 @@ def enumerate_matchings(g: Graph, size: int) -> list[tuple[tuple[int, int], ...]
     backtracking over the edge list."""
     if size < 0:
         raise ValueError("matching size must be nonnegative")
+    return list(_matchings(g, size))
+
+
+def _matchings(g: Graph, size: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of ``enumerate_matchings``, lazily and in its order."""
     edges = g.edges
-    out: list[tuple[tuple[int, int], ...]] = []
     cur: list[tuple[int, int]] = []
 
-    def rec(start: int, used: int) -> None:
+    def rec(start: int, used: int):
         if len(cur) == size:
-            out.append(tuple(cur))
+            yield tuple(cur)
             return
         for i in range(start, len(edges)):
             u, v = edges[i]
             if used >> u & 1 or used >> v & 1:
                 continue
             cur.append(edges[i])
-            rec(i + 1, used | 1 << u | 1 << v)
+            yield from rec(i + 1, used | 1 << u | 1 << v)
             cur.pop()
 
-    rec(0, 0)
-    return out
+    return rec(0, 0)
 
 
 def check_matching_deletion(
@@ -520,19 +565,13 @@ def check_matching_deletion(
     cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
 ) -> AvoidanceVerdict:
-    """Does G - M have an [a,b]-factor for every n-matching M?"""
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Does G - M have an [a,b]-factor for every n-matching M?  The
+    matchings are drawn lazily, so a family beyond ``cap_deletions`` is
+    refused after ``cap_deletions + 1`` of them."""
     params = {"a": a, "b": b, "n": n}
-    if g.n > cap_n:
-        raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
-    matchings = enumerate_matchings(g, n)
-    if len(matchings) > cap_deletions:
-        raise CapExceeded(
-            f"{len(matchings)} matchings exceed the cap of {cap_deletions}"
-        )
+    matchings = _gate(
+        g, params, cap_n, partial(_matchings, g, n), cap_deletions, "matchings"
+    )
     premises = theorem_premises("C", g, a=a, b=b, n=n)
     counterexample = _first_counterexample(
         g, map(DeletionSpec.matching, matchings), a, b, cap_n
@@ -585,14 +624,12 @@ def check_edge_avoiding(
     criterion route: the first S (size-then-lexicographic) whose deficiency
     in G falls below the penalty rho(S), reported with its deficiency in
     G - e."""
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
+    params = {"a": a, "b": b, "edge": [u, v]}
+    _check_params(params)  # before the edge test, which comes before the cap
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    if g.n > cap_n:
-        raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
-    params = {"a": a, "b": b, "edge": [u, v]}
+    _gate(g, params, cap_n)
     g_prime = delete_edges(g, [(u, v)])
     if find_ab_factor(g_prime, a, b, cert_cap=0).exists:
         return AvoidanceVerdict("LemmaH", params, (), True, None)
@@ -654,16 +691,8 @@ def check_theorem_D(
     """If every n-subset deletion leaves an [a,b]-factor, so does every
     (n-1)-subset deletion.  The antecedent is recorded as a premise, so a
     false antecedent reports as vacuous."""
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if g.n > cap_n:
-        raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
-    total = comb(g.n, n) + comb(g.n, n - 1)
-    if total > cap_deletions:
-        raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
     params = {"a": a, "b": b, "n": n}
+    _gate(g, params, cap_n, lambda: comb(g.n, n) + comb(g.n, n - 1), cap_deletions)
     premises = list(theorem_premises("D", g, a=a, b=b, n=n))
     # the antecedent is only recorded, so its refusal needs no certificate
     antecedent_fail = _first_refusal(g, _vertex_deletions(g, n), a, b)
@@ -701,14 +730,8 @@ def check_theorem_E(
     has an [a,b]-factor, then G - e has one for every edge e.  The C(n,2)
     pair deletions of the premise must fit ``cap_deletions``; the |E| <=
     C(n,2) edge deletions of the conclusion then fit as well."""
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if g.n > cap_n:
-        raise CapExceeded(f"enumeration capped at {cap_n} vertices, got {g.n}")
-    total = comb(g.n, 2)
-    if total > cap_deletions:
-        raise CapExceeded(f"{total} deletions exceed the cap of {cap_deletions}")
     params = {"a": a, "b": b}
+    _gate(g, params, cap_n, lambda: comb(g.n, 2), cap_deletions)
     premises = theorem_premises("E", g, a=a, b=b)
     counterexample = _first_counterexample(
         g, (DeletionSpec.edge(*e) for e in g.edges), a, b, cap_n
@@ -729,15 +752,8 @@ def check_lemma_D1(
 ) -> AvoidanceVerdict:
     """Under the stated degree and toughness premises, the deficiency of
     every S with nonempty low-degree set reaches k*n."""
-    if not 2 <= k <= b:
-        raise ValueError(f"need 2 <= k <= b, got k={k}, b={b}")
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if g.n > cap_n:
-        raise CapExceeded(f"deficiency scan capped at {cap_n} vertices, got {g.n}")
     params = {"a": a, "b": b, "n": n, "k": k}
+    _gate(g, params, cap_n)
     premises = theorem_premises("D1", g, a=a, b=b, n=n, k=k)
     violation = scan_deficiency(
         g, a, b, bound=k * n, min_size=0, require_t=True, cap_n=cap_n

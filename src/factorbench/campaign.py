@@ -26,15 +26,15 @@ from .avoidance import (
     DEFAULT_CAP_DELETIONS,
     DEFAULT_CAP_N,
     THEOREMS,
-    check_vertex_deletion_all,
+    _check_params,
+    extremal_sharpness,
     theorem_premises,
 )
 from .errors import CapExceeded, SearchBudgetExceeded
 from .factors import DEFAULT_SEARCH_BUDGET
 from .graphs import (
-    GRAPH6_MAX_N, build_extremal_H, emit_graph6, extremal_order, generate_random, parse_graph6,
+    GRAPH6_MAX_N, emit_graph6, extremal_order, generate_random, parse_graph6,
 )
-from .toughness import threshold
 
 
 class Cell(NamedTuple):
@@ -121,6 +121,11 @@ class CampaignConfig:
                     f"config field 'extremal': H{quad} has {order} vertices, and "
                     f"graph6 short form supports at most {GRAPH6_MAX_N}"
                 )
+        for cell in self.cells():
+            try:
+                _check_params(cell.params)
+            except ValueError as exc:
+                raise ValueError(f"config cell {cell.label()}: {exc}") from None
 
     # -- cells -------------------------------------------------------------
 
@@ -270,14 +275,7 @@ def _evaluate_instance(payload: dict) -> dict:
 
 def _evaluate_extremal(index: int, quad, cap_n: int) -> dict:
     m, a, b, n = quad
-    w = build_extremal_H(m, a, b, n)
-    thr = threshold("A", a=a, b=b, n=n)
-    verdict = check_vertex_deletion_all(
-        w.graph, a, b, n,
-        deletions=[w.default_v0()],
-        witnesses=[w.clique_small],
-        cap_n=cap_n,
-    )
+    w, thr, verdict = extremal_sharpness(m, a, b, n, cap_n=cap_n)
     row = {
         "index": index,
         "theorem": "A",
@@ -363,35 +361,30 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         draws = 0
         rejected = 0
         kept = 0
-        for seed in config.seed_list:
+        sizes = range(config.n_min, config.n_max + 1)
+        for seed, p, ng in product(config.seed_list, config.p_list, sizes):
             if kept >= config.quota:
                 break
-            for p in config.p_list:
-                if kept >= config.quota:
-                    break
-                for ng in range(config.n_min, config.n_max + 1):
-                    if kept >= config.quota:
-                        break
-                    draws += 1
-                    g = generate_random(ng, p, seed)
-                    if not _premises_hold(cell, g, config.cap_n, config.cap_deletions):
-                        rejected += 1
-                        continue
-                    kept += 1
-                    pending.append(
-                        {
-                            "index": index,
-                            "theorem": cell.theorem,
-                            "params": dict(cell.params),
-                            "graph6": emit_graph6(g),
-                            "seed": seed,
-                            "p": str(Fraction(p)),
-                            "cap_n": config.cap_n,
-                            "cap_deletions": config.cap_deletions,
-                            "budget": config.budget,
-                        }
-                    )
-                    index += 1
+            draws += 1
+            g = generate_random(ng, p, seed)
+            if not _premises_hold(cell, g, config.cap_n, config.cap_deletions):
+                rejected += 1
+                continue
+            kept += 1
+            pending.append(
+                {
+                    "index": index,
+                    "theorem": cell.theorem,
+                    "params": dict(cell.params),
+                    "graph6": emit_graph6(g),
+                    "seed": seed,
+                    "p": str(Fraction(p)),
+                    "cap_n": config.cap_n,
+                    "cap_deletions": config.cap_deletions,
+                    "budget": config.budget,
+                }
+            )
+            index += 1
         cell_stats.append(
             {
                 "label": cell.label(),

@@ -19,17 +19,12 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .avoidance import (
-    DEFAULT_CAP_DELETIONS,
-    DEFAULT_CAP_N,
-    THEOREMS,
-    check_vertex_deletion_all,
-)
+from .avoidance import DEFAULT_CAP_DELETIONS, DEFAULT_CAP_N, THEOREMS, extremal_sharpness
 from .campaign import CampaignConfig, run_campaign
 from .errors import CapExceeded, GraphFormatError, SearchBudgetExceeded
 from .factors import DEFAULT_SEARCH_BUDGET, _peel_stars, check_ab_factor, find_ab_factor
-from .graphs import GRAPH6_MAX_N, build_extremal_H, emit_graph6, extremal_order, parse_graph6
-from .toughness import isolated_toughness, threshold
+from .graphs import GRAPH6_MAX_N, emit_graph6, extremal_order, parse_graph6
+from .toughness import isolated_toughness
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -125,14 +120,7 @@ def cmd_extremal(args) -> int:
             f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, "
             f"H({args.m},{args.a},{args.b},{args.n}) has {order}"
         )
-    w = build_extremal_H(args.m, args.a, args.b, args.n)
-    thr = threshold("A", a=args.a, b=args.b, n=args.n)
-    verdict = check_vertex_deletion_all(
-        w.graph, args.a, args.b, args.n,
-        deletions=[w.default_v0()],
-        witnesses=[w.clique_small],
-        cap_n=args.cap_n,
-    )
+    w, thr, verdict = extremal_sharpness(args.m, args.a, args.b, args.n, cap_n=args.cap_n)
     refutation = verdict.counterexample
     cert = refutation.certificate.violation if refutation is not None else None
     payload = {

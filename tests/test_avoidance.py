@@ -245,6 +245,45 @@ def test_matching_enumeration_on_c4():
     assert len(enumerate_matchings(complete_graph(6), 1)) == 15
 
 
+@st.composite
+def graphs_and_sizes(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, [p for p in pairs if draw(st.booleans())]), draw(st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_sizes())
+def test_matchings_are_the_disjoint_edge_combinations_in_order(case):
+    # C reports the first refused matching, so the order is part of its verdict
+    g, size = case
+    expected = [
+        es for es in combinations(g.edges, size)
+        if len({v for e in es for v in e}) == 2 * size
+    ]
+    assert enumerate_matchings(g, size) == expected
+
+
+def test_matching_cap_stops_the_enumeration(monkeypatch):
+    # K14 has 135,135 perfect matchings; only one past the cap may be drawn
+    drawn = []
+    lazy = avoidance._matchings
+
+    def counted(g, size):
+        for m in lazy(g, size):
+            drawn.append(m)
+            yield m
+
+    def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("premises evaluated before the cap")
+
+    monkeypatch.setattr(avoidance, "_matchings", counted)
+    monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
+    with pytest.raises(CapExceeded, match="more than 500 matchings exceed the cap of 500"):
+        check_matching_deletion(complete_graph(14), 2, 3, 7, cap_n=16, cap_deletions=500)
+    assert len(drawn) == 501
+
+
 def test_matching_deletion_k6_holds():
     verdict = check_matching_deletion(complete_graph(6), 2, 3, 1)
     assert verdict.premises_hold
@@ -417,8 +456,18 @@ def test_theorem_e_proof_step_single_vertex_sets():
         # the pair deletions count even with the 7 edges of C7
         (cycle_graph(7), lambda g: check_theorem_E(g, 2, 3, cap_deletions=20),
          "21 deletions"),
+        (complete_graph(7), lambda g: check_theorem_E(g, 2, 3, cap_n=6),
+         "subset enumeration capped at 6 vertices, got 7"),
+        (complete_graph(7), lambda g: check_theorem_D(g, 2, 3, 1, cap_n=6),
+         "subset enumeration capped at 6 vertices, got 7"),
+        # C(7,2) + C(7,1) = 28 deletions in all
+        (complete_graph(7), lambda g: check_theorem_D(g, 2, 3, 2, cap_deletions=27),
+         "28 deletions exceed the cap of 27"),
+        (complete_graph(7), lambda g: check_edge_avoiding(g, (0, 1), 2, 3, cap_n=6),
+         "subset enumeration capped at 6 vertices, got 7"),
     ],
-    ids=["A-full", "B", "C", "D1", "E", "E-sparse"],
+    ids=["A-full", "B", "C", "D1", "E", "E-sparse", "E-order", "D", "D-deletions",
+         "LemmaH"],
 )
 def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
     def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
@@ -427,6 +476,31 @@ def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
     monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
     with pytest.raises(CapExceeded, match=match):
         check(g)
+
+
+@pytest.mark.parametrize(
+    "check, match",
+    [
+        (lambda g: check_vertex_deletion_all(g, 2, 2, 1), r"need 1 <= a < b, got a=2, b=2"),
+        (lambda g: check_vertex_deletion_all(g, 2, 3, 0, deletions=[()]),
+         "n must be >= 1, got 0"),
+        (lambda g: check_edge_deletion_star(g, 0, 1), "m must be >= 1, got 0"),
+        (lambda g: check_matching_deletion(g, 2, 3, 0), "n must be >= 1, got 0"),
+        # n - 1 < 0 must not reach the count of the (n-1)-subsets
+        (lambda g: check_theorem_D(g, 2, 3, 0), "n must be >= 1, got 0"),
+        (lambda g: check_theorem_E(g, 0, 3), r"need 1 <= a < b, got a=0, b=3"),
+        (lambda g: check_lemma_D1(g, 2, 3, 1, 4), r"need 2 <= k <= b, got k=4, b=3"),
+        (lambda g: check_edge_avoiding(g, (0, 1), 3, 3), r"need 1 <= a < b, got a=3, b=3"),
+    ],
+    ids=["A-full", "A-targeted", "B", "C", "D", "E", "D1", "LemmaH"],
+)
+def test_parameters_are_checked_before_premises(monkeypatch, check, match):
+    def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("premises evaluated before the parameter check")
+
+    monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
+    with pytest.raises(ValueError, match=match):
+        check(complete_graph(6))
 
 
 def test_theorem_e_cap_admits_exact_fit():

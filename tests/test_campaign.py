@@ -62,6 +62,9 @@ _paths = st.none() | st.text("abc./_-", min_size=1, max_size=8)
 @st.composite
 def valid_configs(draw):
     n_min = draw(st.integers(1, 9))
+    d1_ab = draw(_pairs)
+    # every D1 cell needs k <= b
+    k_max = min((b for _, b in d1_ab), default=6)
     return CampaignConfig(
         theorems=tuple(draw(st.lists(st.sampled_from(["A", "B", "C", "D", "E", "D1"]),
                                      max_size=4))),
@@ -75,8 +78,8 @@ def valid_configs(draw):
         budget=draw(st.integers(0, 10**6)),
         a_ab=draw(_pairs), a_n=draw(_ints), b_m=draw(_ints), b_n=draw(_ints),
         c_ab=draw(_pairs), c_n=draw(_ints), d_ab=draw(_pairs), d_n=draw(_ints),
-        e_ab=draw(_pairs), d1_ab=draw(_pairs), d1_n=draw(_ints),
-        d1_k=tuple(draw(st.lists(st.integers(2, 6) | st.just("b"), max_size=3))),
+        e_ab=draw(_pairs), d1_ab=d1_ab, d1_n=draw(_ints),
+        d1_k=tuple(draw(st.lists(st.integers(2, k_max) | st.just("b"), max_size=3))),
         extremal=tuple(draw(st.lists(
             st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
                       st.integers(1, 3)).map(lambda q: (q[0], q[1], q[1] + q[2], q[3])),
@@ -126,6 +129,19 @@ def test_config_bad_value_names_field():
     for key in ("A.n", "B.n", "B.m", "C.n", "D.n", "D1.n"):
         with pytest.raises(ValueError, match=rf"config field '{key}': need integers >= 1, got 0"):
             CampaignConfig.from_text(f"{key} = 0\n")
+
+
+def test_config_refuses_k_above_b_before_any_sampling(monkeypatch):
+    import factorbench.campaign as campaign
+
+    def no_sampling(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("graphs drawn for an invalid config")
+
+    monkeypatch.setattr(campaign, "generate_random", no_sampling)
+    with pytest.raises(
+        ValueError, match=r"config cell D1\(a=2,b=3,k=4,n=1\): need 2 <= k <= b, got k=4, b=3"
+    ):
+        CampaignConfig.from_text("theorems = D1\nD1.ab = 2:3\nD1.k = 4\n")
 
 
 def test_config_rejects_extremal_beyond_graph6():

@@ -220,18 +220,18 @@ def test_extremal_subcommand(capsys):
 
 def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
     # H(3,3,5,2) has 86 vertices, beyond the graph6 short form
-    import factorbench.cli as cli
+    import factorbench.avoidance as avoidance
 
     def no_work(*args, **kwargs):
         raise AssertionError("the check ran before the size was rejected")
 
-    monkeypatch.setattr(cli, "check_vertex_deletion_all", no_work)
+    monkeypatch.setattr(avoidance, "check_vertex_deletion_all", no_work)
     code, out, err = run_cli(capsys, ["extremal", "--m", "3", "--a", "3", "--b", "5", "--n", "2"])
     assert code == 2
     assert out == ""
     assert "at most 62 vertices" in err and "86" in err
     # H(1,2,3,400) has 1609 vertices: refused before H is built
-    monkeypatch.setattr(cli, "build_extremal_H", no_work)
+    monkeypatch.setattr(avoidance, "build_extremal_H", no_work)
     code, out, err = run_cli(capsys, ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "400"])
     assert code == 2
     assert out == ""
@@ -239,11 +239,11 @@ def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
 
 
 def test_extremal_without_refutation_reports_negative(capsys, monkeypatch):
-    import factorbench.cli as cli
+    import factorbench.avoidance as avoidance
     from factorbench.avoidance import AvoidanceVerdict
 
     monkeypatch.setattr(
-        cli, "check_vertex_deletion_all",
+        avoidance, "check_vertex_deletion_all",
         lambda *args, **kwargs: AvoidanceVerdict("A", {}, (), True, None),
     )
     code, out, _ = run_cli(capsys, ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"])
