@@ -2,7 +2,8 @@
 
 I(G) = min |S|/i(G-S) over S with i(G-S) >= 2 when G is not complete, and
 |V|-1 for complete graphs.  Two independent algorithms are provided: a
-subset-enumeration reference, and a faster search over independent sets.
+subset-enumeration reference, and a faster enumeration of the closed
+independent sets I = cl(N(I)) that visits each candidate S = N(I) once.
 All values are exact `Fraction`s; no floating point enters any decision.
 """
 
@@ -29,15 +30,19 @@ class ToughnessReport:
     isolated_at_witness: int
 
     def verify(self, g: Graph) -> bool:
-        """Re-evaluate the witness against ``g``."""
+        """Re-evaluate the witness against ``g``.  The witness must be a
+        strictly increasing tuple of vertices of ``g``."""
+        w = self.witness
+        if not all(0 <= u < g.n for u in w) or any(u >= v for u, v in zip(w, w[1:])):
+            return False
         if g.is_complete():
-            return self.value == g.n - 1 and self.witness == ()
-        keep = g.full_mask & ~vertex_mask(self.witness)
+            return self.value == g.n - 1 and w == () and self.isolated_at_witness == 0
+        keep = g.full_mask & ~vertex_mask(w)
         iso = isolated_count_mask(g.adj, keep)
         return (
             iso == self.isolated_at_witness
             and iso >= 2
-            and self.value == Fraction(len(self.witness), iso)
+            and self.value == Fraction(len(w), iso)
         )
 
 
@@ -70,25 +75,41 @@ def isolated_toughness_bruteforce(g: Graph, cap_n: int = DEFAULT_BRUTEFORCE_CAP)
 
 
 def isolated_toughness(g: Graph) -> ToughnessReport:
-    """Fast algorithm: minimise |N(I)| / i(G - N(I)) over independent sets
-    I with |I| >= 2, where N(I) is the union of neighbourhoods.
+    """Fast algorithm: minimise |S| / i(G - S) over the neighbourhoods
+    S = N(I) of the closed independent sets I, visiting each S once.
 
     Any optimal S can be replaced by N(I) for I = the isolated vertices of
     G-S without increasing the ratio (N(I) is a subset of S while the
-    isolates of G-N(I) still include I), so this search is exact.  Since I
-    is independent and no vertex is its own neighbour, N(I) and I are
-    disjoint, hence i(G - N(I)) >= |I| >= 2 for every candidate.
+    isolates of G-N(I) still include I), so it suffices to range over the
+    sets N(I) of independent I with i(G - N(I)) >= 2.
 
-    Branches are pruned when even the best conceivable extension ratio
-    |N| / (n - |N|) strictly exceeds the incumbent, so every optimal N(I)
-    is still visited.  The witness is therefore canonical: among the sets
-    N(I) of minimum ratio it is the lexicographically smallest sorted
-    tuple, whatever the visit order.
+    The closure.  Let cl(S) = {v not in S : N(v) is a subset of S}, the
+    isolated vertices of G - S, and c(I) = cl(N(I)).  On independent sets
+    c is extensive, monotone and idempotent, and N(c(I)) = N(I).  So the
+    closed sets I = c(I) and their neighbourhoods S are in bijection, and
+    i(G - S) = |c(I)|.
 
-    The search compares ratios as cross-multiplied integers, holding the
+    The enumeration is prefix-preserving closure extension (LCM, Uno,
+    Kiyomi and Arimura 2004; Ganter's NextClosure, 1984).  The root is
+    c({}), the degree-0 vertices, with core index -1; two or more of them
+    give ratio 0 at S = {} at once.  A closed set P with core index
+    ``core`` has the children Q = c(P + v) for v > core outside P and
+    N(P), kept only when Q has no vertex below v that P lacks; Q's core
+    index is v.  Every
+    closed set then has exactly one parent, so every S is visited once.
+    The check runs on the closure candidates below v before the rest of
+    the closure is built.
+
+    The prune.  Before its closure is built, a child is skipped when even
+    the best conceivable ratio |N| / (n - |N|) of its subtree strictly
+    exceeds the incumbent: N only grows down the tree, and that bound
+    grows with |N|.  An optimal S is therefore never cut, and since ties
+    go to the lexicographically smaller sorted tuple, the witness is the
+    lexicographically smallest optimal S whatever the visit order.
+
+    Ratios are compared as cross-multiplied integers, holding the
     incumbent as the pair (num, den); the one `Fraction` is built at
-    return.  The isolated count of G - N(I) takes I as isolated and tests
-    only the other vertices of degree at most |N(I)|.
+    return.  Only vertices of degree at most |N| can join a closure.
     """
     if g.n == 0:
         raise ValueError("isolated toughness is undefined on the empty graph")
@@ -104,42 +125,49 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
         deg_at_most[adj[x].bit_count()] |= 1 << x
     for d in range(1, n + 1):
         deg_at_most[d] |= deg_at_most[d - 1]
+    root = deg_at_most[0]
+    if root.bit_count() >= 2:
+        return ToughnessReport(Fraction(0), (), root.bit_count())
     # incumbent ratio num/den, den = i(G - best_s); den == 0 means none yet
     num, den = 0, 0
     best_s: tuple[int, ...] = ()
 
-    def extend(i_mask: int, nbr_mask: int, start: int, size: int) -> bool:
-        """Grow I from ``start``.  Returns True to abort (found ratio 0)."""
+    def extend(p: int, nbr: int, start: int) -> None:
+        """Visit the children of the closed set ``p`` with N(p) = ``nbr``;
+        ``start`` is one past p's core index."""
         nonlocal num, den, best_s
-        scount = nbr_mask.bit_count()
-        if den and scount * den > num * (n - scount):
-            return False  # every extension is strictly worse
-        for v in range(start, n):
-            if adj[v] & i_mask:
-                continue  # keep I independent
-            ni = i_mask | 1 << v
-            nn = nbr_mask | adj[v]
-            if size:
-                keep = full & ~nn
-                k = nn.bit_count()
-                iso = size + 1  # I itself is isolated in G - N(I)
-                rest = keep & ~ni & deg_at_most[k]
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if not adj[bit.bit_length() - 1] & keep:
-                        iso += 1
-                if not den or k * den <= num * iso:
+        rest = (full ^ p ^ nbr) >> start << start
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            nn = nbr | adj[bit.bit_length() - 1]
+            k = nn.bit_count()
+            if k * den > num * (n - k):
+                continue  # every closed set in this subtree is strictly worse
+            keep = full ^ nn
+            cand = deg_at_most[k] & (keep ^ p ^ bit)
+            low = cand & (bit - 1)
+            while low:
+                u = low & -low
+                low ^= u
+                if not adj[u.bit_length() - 1] & keep:
+                    break  # c(p + v) gains a vertex below v: not p's child
+            else:
+                q = p | bit
+                cand &= -bit
+                while cand:
+                    u = cand & -cand
+                    cand ^= u
+                    if not adj[u.bit_length() - 1] & keep:
+                        q |= u
+                iso = q.bit_count()
+                if iso >= 2 and k * den <= num * iso:
                     s_tuple = tuple(u for u in range(n) if nn >> u & 1)
                     if not den or k * den < num * iso or s_tuple < best_s:
                         num, den, best_s = k, iso, s_tuple
-                        if k == 0:
-                            return True  # global minimum; unique witness S = {}
-            if extend(ni, nn, v + 1, size + 1):
-                return True
-        return False
+                extend(q, nn, bit.bit_length())
 
-    extend(0, 0, 0, 0)
+    extend(root, 0, 0)
     if not den:  # non-complete: some nonadjacent pair exists
         raise RuntimeError("no independent pair found in a non-complete graph")
     return ToughnessReport(Fraction(num, den), best_s, den)

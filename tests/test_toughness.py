@@ -89,16 +89,55 @@ def test_edgeless_graph_has_toughness_zero():
     assert rep.value == 0 and rep.witness == ()
 
 
+# -- the root of the closed-set enumeration: the degree-0 vertices ------------
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (disjoint_union(Graph(1), complete_graph(3)), (Fraction(1), (1, 2), 2)),
+        (disjoint_union(Graph(2), complete_graph(3)), (Fraction(0), (), 2)),
+        (disjoint_union(Graph(1), cycle_graph(5)), (Fraction(1), (1, 2, 4), 3)),
+        (disjoint_union(Graph(1), star_graph(3)), (Fraction(1, 4), (1,), 4)),
+    ],
+    ids=["K1+K3", "2K1+K3", "K1+C5", "K1+K1,3"],
+)
+def test_degree_zero_root(g, expected):
+    rep = isolated_toughness(g)
+    triple = (rep.value, rep.witness, rep.isolated_at_witness)
+    assert triple == reference_triple(g) == expected
+
+
+# -- certificate checking ------------------------------------------------------
+
+
+def test_verify_rejects_a_repeated_witness_vertex():
+    # |(0, 0)| = 2 would give 2/3; the true ratio at {0} is 1/3
+    assert not ToughnessReport(Fraction(2, 3), (0, 0), 3).verify(star_graph(3))
+
+
+def test_verify_rejects_a_witness_vertex_outside_the_graph():
+    assert not ToughnessReport(Fraction(2, 3), (0, 9), 3).verify(star_graph(3))
+
+
+def test_verify_rejects_isolated_vertices_claimed_on_a_complete_graph():
+    assert not ToughnessReport(Fraction(3), (), 7).verify(complete_graph(4))
+    assert ToughnessReport(Fraction(3), (), 0).verify(complete_graph(4))
+
+
 # -- exhaustive oracle agreement on small orders -------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_fast_equals_bruteforce_exhaustively(n):
+    # every labelled graph: the value against the subset oracle, the full
+    # triple against the independent-set enumeration (32,768 graphs at n = 6)
     for g in all_graphs(n):
         fast = isolated_toughness(g)
         slow = isolated_toughness_bruteforce(g)
         assert fast.value == slow.value, g
         assert fast.verify(g) and slow.verify(g)
+        assert (fast.value, fast.witness, fast.isolated_at_witness) == reference_triple(g), g
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,6 +148,16 @@ def test_fast_equals_bruteforce_random(n, seed, denom):
     slow = isolated_toughness_bruteforce(g)
     assert fast.value == slow.value
     assert fast.verify(g) and slow.verify(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10, 14), st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]))
+def test_fast_equals_bruteforce_on_larger_random_graphs(n, seed, denom):
+    # deep enough closure trees for the prefix check and the prune to meet
+    g = generate_random(n, Fraction(1, denom + 1), seed)
+    fast = isolated_toughness(g)
+    assert fast.value == isolated_toughness_bruteforce(g).value
+    assert fast.verify(g)
 
 
 def test_noncomplete_witness_isolates_at_least_two():
