@@ -100,12 +100,22 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
     The check runs on the closure candidates below v before the rest of
     the closure is built.
 
-    The prune.  Before its closure is built, a child is skipped when even
-    the best conceivable ratio |N| / (n - |N|) of its subtree strictly
-    exceeds the incumbent: N only grows down the tree, and that bound
-    grows with |N|.  An optimal S is therefore never cut, and since ties
-    go to the lexicographically smaller sorted tuple, the witness is the
-    lexicographically smallest optimal S whatever the visit order.
+    The prunes.  Once an incumbent num/den exists, two bounds skip
+    children whose whole subtree is strictly worse.  N only grows down the
+    tree, and each bound below grows with |N|.
+      * Degree.  A child v has |N| >= deg(v) in its whole subtree, and at
+        most n - |N| isolates, so its ratio is at least d / (n - d) with
+        d = deg(v).  That strictly exceeds num/den exactly when
+        d > num*n / (num + den), so each visit keeps only the candidates
+        of degree at most num*n // (num + den): one division per visit.
+      * Subtree.  Extension adds only vertices above the core index and
+        never a vertex of N, so every closed set under child v of P lies
+        inside P + ((V - N) cap [v, n)).  Before its closure is built, v
+        is skipped when |N| / |P + ((V - N) cap [v, n))| > num/den.
+    Both tests are strict, so a subtree holding a set as good as the
+    incumbent is never cut, and an optimal S is always visited.  Since
+    ties go to the lexicographically smaller sorted tuple, the witness
+    is the lexicographically smallest optimal S whatever the visit order.
 
     Ratios are compared as cross-multiplied integers, holding the
     incumbent as the pair (num, den); the one `Fraction` is built at
@@ -137,14 +147,16 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
         ``start`` is one past p's core index."""
         nonlocal num, den, best_s
         rest = (full ^ p ^ nbr) >> start << start
+        if den:
+            rest &= deg_at_most[num * n // (num + den)]
         while rest:
             bit = rest & -rest
             rest ^= bit
             nn = nbr | adj[bit.bit_length() - 1]
             k = nn.bit_count()
-            if k * den > num * (n - k):
-                continue  # every closed set in this subtree is strictly worse
             keep = full ^ nn
+            if k * den > num * ((keep & -bit) | p).bit_count():
+                continue  # every closed set in this subtree is strictly worse
             cand = deg_at_most[k] & (keep ^ p ^ bit)
             low = cand & (bit - 1)
             while low:

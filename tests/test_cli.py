@@ -218,6 +218,36 @@ def test_extremal_subcommand(capsys):
     assert payload["violation"]["S"] == [0]
 
 
+# sha256 of the 604-byte stdout of `extremal --m 1 --a 2 --b 3 --n 1`;
+# extremal reads no budget, so `--budget` must not change it
+EXTREMAL_1231_SHA256 = "d977582ae52d71bce3774913fd2453ce8096d3f8cebbee1e585382f623c78da1"
+
+
+def test_extremal_output_bytes_are_pinned(capsys):
+    import hashlib
+
+    argv = ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"]
+    for extra in ([], ["--budget", "1"]):
+        code, out, _ = run_cli(capsys, argv + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXTREMAL_1231_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "-", "--a", "2", "--b", "3", "--cap-deletions", "5"],
+        ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1", "--cap-deletions", "5"],
+    ],
+    ids=["factor", "extremal"],
+)
+def test_cap_deletions_is_refused_where_it_is_never_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-deletions" in capsys.readouterr().err
+
+
 def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
     # H(3,3,5,2) has 86 vertices, beyond the graph6 short form
     import factorbench.avoidance as avoidance

@@ -153,11 +153,13 @@ def test_fast_equals_bruteforce_random(n, seed, denom):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(10, 14), st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]))
 def test_fast_equals_bruteforce_on_larger_random_graphs(n, seed, denom):
-    # deep enough closure trees for the prefix check and the prune to meet
+    # deep enough closure trees for the prefix check and the prunes to meet
     g = generate_random(n, Fraction(1, denom + 1), seed)
     fast = isolated_toughness(g)
     assert fast.value == isolated_toughness_bruteforce(g).value
     assert fast.verify(g)
+    if n <= 12:
+        assert (fast.value, fast.witness, fast.isolated_at_witness) == reference_triple(g)
 
 
 def test_noncomplete_witness_isolates_at_least_two():
@@ -263,6 +265,36 @@ def graphs_up_to_9(draw):
 @settings(max_examples=300, deadline=None)
 @given(graphs_up_to_9())
 def test_witness_is_lexicographically_smallest_optimal_neighbourhood(g):
+    rep = isolated_toughness(g)
+    assert (rep.value, rep.witness, rep.isolated_at_witness) == reference_triple(g)
+
+
+@st.composite
+def h_like_graphs(draw):
+    """At most 12 vertices shaped like H(m,a,b,n): a small clique joined to
+    an independent row, each row vertex with a pendant edge to a large
+    clique, a few random extra edges, and the labels shuffled.  Their
+    high-degree clique vertices and ratio ties exercise both prunes."""
+    small = draw(st.integers(0, 3))
+    row = draw(st.integers(2, 5))
+    large = draw(st.integers(row, 12 - small - row)) if small + 2 * row <= 12 else 0
+    n = small + row + large
+    sv = range(small)
+    rv = range(small, small + row)
+    lv = range(small + row, n)
+    edges = set(combinations(sv, 2)) | set(combinations(lv, 2))
+    edges |= {(w, v) for w in sv for v in rv}
+    if large:
+        edges |= {(v, small + row + i) for i, v in enumerate(rv)}
+    pairs = list(combinations(range(n), 2))
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=120, deadline=None)
+@given(h_like_graphs())
+def test_witness_on_h_like_graphs(g):
     rep = isolated_toughness(g)
     assert (rep.value, rep.witness, rep.isolated_at_witness) == reference_triple(g)
 
