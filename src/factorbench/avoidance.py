@@ -22,12 +22,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .factors import (
-    DEFAULT_SEARCH_BUDGET,
     DegreeBounds,
     FactorCertificate,
     FactorViolation,
     _certify_refusal,
-    check_star_factor,
     deficient_sets,
     delta,
     find_ab_factor,
@@ -224,7 +222,7 @@ THEOREMS = {
     for t in (
         Theorem("A", "check_vertex_deletion_all", ("a", "b", "n"), _CAPS,
                 _degree_and_toughness("A"), ("ab", "n"), mode="vertices"),
-        Theorem("B", "check_edge_deletion_star", ("m", "n"), (*_CAPS, "budget"),
+        Theorem("B", "check_edge_deletion_star", ("m", "n"), _CAPS,
                 _star_premises, ("m", "n"), lambda p: 2 * p["n"] <= p["m"], mode="edges"),
         Theorem("C", "check_matching_deletion", ("a", "b", "n"), _CAPS,
                 _degree_and_toughness("C"), ("ab", "n"), mode="matching"),
@@ -276,13 +274,13 @@ def _pair_deletion_premise(g: Graph, a: int, b: int) -> Premise:
 
 def _check_params(params: dict) -> None:
     """Raise ``ValueError`` unless every parameter in ``params`` lies in
-    the range its statement is proved for: 1 <= a < b, m >= 1, n >= 1
+    the range its statement is proved for: 1 <= a < b, m >= 2, n >= 1
     and 2 <= k <= b.  Other keys are not checked."""
     if "a" in params and not 1 <= params["a"] < params["b"]:
         raise ValueError(f"need 1 <= a < b, got a={params['a']}, b={params['b']}")
-    for name in ("m", "n"):
-        if name in params and params[name] < 1:
-            raise ValueError(f"{name} must be >= 1, got {params[name]}")
+    for name, low in (("m", 2), ("n", 1)):
+        if name in params and params[name] < low:
+            raise ValueError(f"{name} must be >= {low}, got {params[name]}")
     if "k" in params and not 2 <= params["k"] <= params["b"]:
         raise ValueError(f"need 2 <= k <= b, got k={params['k']}, b={params['b']}")
 
@@ -493,33 +491,17 @@ def check_edge_deletion_star(
     *,
     cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AvoidanceVerdict:
     """Does G - E' have a spanning star forest with star sizes 1..m for
-    every n-subset E' of edges?  For m >= 2 the forest is a [1,m]-factor,
-    so each G - E' is decided by the double-cover flow in the shared
-    refusal loop and a refusal carries its first violating S.  For m = 1,
-    a perfect matching, the constructive search under ``budget`` decides,
-    and the odd-component criterion must refuse as well."""
+    every n-subset E' of edges?  The statement is proved for
+    1 <= n <= m/2, so m >= 2 and the forest is a [1,m]-factor: each
+    G - E' is decided by the double-cover flow in the shared refusal
+    loop, and a refusal carries its first violating S."""
     params = {"m": m, "n": n}
     _gate(g, params, cap_n, lambda: comb(g.edge_count, n), cap_deletions)
     premises = theorem_premises("B", g, m=m, n=n)
     specs = map(DeletionSpec.edges, combinations(g.edges, n))
-    if m >= 2:
-        counterexample = _first_counterexample(g, specs, 1, m, cap_n)
-    else:
-        counterexample = None
-        for spec in specs:
-            h = delete(g, spec).graph
-            if find_ab_factor(h, 1, 1, budget=budget, cert_cap=0).exists:
-                continue
-            if check_star_factor(h, 1, cap_n=cap_n).exists:
-                raise RuntimeError(
-                    f"criterion and constructive matching routes disagree on {spec.members}"
-                )
-            # a missing perfect matching carries no deficiency certificate
-            counterexample = Counterexample(spec, FactorCertificate(False))
-            break
+    counterexample = _first_counterexample(g, specs, 1, m, cap_n)
     return AvoidanceVerdict(
         "B", params, premises, counterexample is None, counterexample
     )

@@ -30,8 +30,7 @@ from .avoidance import (
     extremal_sharpness,
     theorem_premises,
 )
-from .errors import CapExceeded, SearchBudgetExceeded
-from .factors import DEFAULT_SEARCH_BUDGET
+from .errors import CapExceeded
 from .graphs import (
     GRAPH6_MAX_N, emit_graph6, extremal_order, generate_random, parse_graph6,
 )
@@ -59,7 +58,6 @@ class CampaignConfig:
     quota: int = 25
     cap_n: int = DEFAULT_CAP_N
     cap_deletions: int = DEFAULT_CAP_DELETIONS
-    budget: int = DEFAULT_SEARCH_BUDGET
     a_ab: tuple = ((1, 2), (2, 3))
     a_n: tuple = (1,)
     b_m: tuple = (2, 3, 4)
@@ -247,7 +245,6 @@ def _evaluate_instance(payload: dict) -> dict:
     params = payload["params"]
     cap_n = payload["cap_n"]
     cap_deletions = payload["cap_deletions"]
-    budget = payload["budget"]
     row = {
         "index": payload["index"],
         "theorem": theorem,
@@ -258,10 +255,8 @@ def _evaluate_instance(payload: dict) -> dict:
         "expected_failure": False,
     }
     try:
-        verdict = THEOREMS[theorem].run(
-            g, params, cap_n=cap_n, cap_deletions=cap_deletions, budget=budget
-        )
-    except (CapExceeded, SearchBudgetExceeded) as exc:
+        verdict = THEOREMS[theorem].run(g, params, cap_n=cap_n, cap_deletions=cap_deletions)
+    except CapExceeded as exc:
         row["outcome"] = "capped"
         row["error"] = str(exc)
         return row
@@ -381,7 +376,6 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                     "p": str(Fraction(p)),
                     "cap_n": config.cap_n,
                     "cap_deletions": config.cap_deletions,
-                    "budget": config.budget,
                 }
             )
             index += 1

@@ -106,9 +106,7 @@ def cmd_avoid(args) -> int:
         u, _, v = params["edge"].partition(",")
         params["edge"] = (int(u), int(v))
     g = _first_graph(args.input)
-    verdict = row.run(
-        g, params, cap_n=args.cap_n, cap_deletions=args.cap_deletions, budget=args.budget
-    )
+    verdict = row.run(g, params, cap_n=args.cap_n, cap_deletions=args.cap_deletions)
     _print_json(verdict.to_json_dict())
     return EXIT_OK if verdict.conclusion_holds else EXIT_NEGATIVE
 
@@ -182,9 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap-deletions": dict(type=int, default=cap_del_default,
                                 help="max enumerated deletions per instance"),
         "--budget": dict(type=int, default=DEFAULT_SEARCH_BUDGET,
-                         help="node budget for the constructive search (factor "
-                         "with a = b, avoid --mode edges with m = 1); "
-                         "flow-decided checks ignore it"),
+                         help="node budget for the constructive search, which "
+                         "only factor with a = b runs"),
     }
 
     def add_caps(p, *flags):
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="star size bound (edges mode)")
     p.add_argument("--n", type=int, help="number of deleted objects")
     p.add_argument("--edge", help="single edge as 'u,v' (edge mode)")
-    add_caps(p, "--cap-n", "--cap-deletions", "--budget")
+    add_caps(p, "--cap-n", "--cap-deletions")
     p.set_defaults(func=cmd_avoid)
 
     p = sub.add_parser("extremal", help="sharpness construction demo")

@@ -62,15 +62,16 @@ class FactorCertificate:
         return out
 
     def verify(self, g: Graph, a: int, b: int) -> bool:
-        """Re-check the certificate from scratch against ``g``."""
+        """Re-check the certificate from scratch against ``g``.  A factor
+        must list distinct edges of ``g``, each once in either orientation."""
         if self.exists and self.factor_edges is not None:
-            degs = [0] * g.n
+            nbrs = [0] * g.n  # factor neighbours of each vertex, as masks
             for u, v in self.factor_edges:
-                if not g.has_edge(u, v):
+                if not g.has_edge(u, v) or nbrs[u] >> v & 1:
                     return False
-                degs[u] += 1
-                degs[v] += 1
-            return all(a <= d <= b for d in degs)
+                nbrs[u] |= 1 << v
+                nbrs[v] |= 1 << u
+            return all(a <= x.bit_count() <= b for x in nbrs)
         if not self.exists and self.violation is not None:
             s, t, d, bound = self.violation
             return (
@@ -586,13 +587,6 @@ def find_star_factor(
     """Decompose the [1,m]-factor of ``find_ab_factor`` into a spanning
     star forest, or None when no such factor exists.  ``budget`` bounds
     only the search for m = 1, a perfect matching.
-
-    Every component of a [1,m]-factor has maximum degree <= m, so a rooted
-    spanning tree of it has the same bound.  Peeling the deepest internal
-    vertex together with its leaf children yields stars of at most m-1
-    leaves for non-root centres (the centre keeps a tree parent) and at
-    most m for the root; a root stranded with no children attaches as an
-    extra leaf to a child's star, which has room for it.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -601,53 +595,33 @@ def find_star_factor(
 
 
 def _peel_stars(g: Graph, factor_edges, m: int) -> StarForest:
-    n = g.n
-    nbr: list[list[int]] = [[] for _ in range(n)]
+    """The spanning star forest left by pruning a [1,m]-factor.
+
+    In the order given, every factor edge whose two ends both have degree
+    >= 2 is dropped.  Degrees stay in [1, m], and an end of degree 1
+    never loses its edge, so every edge left has an end of degree 1 and
+    each component is a star.  Its centre is its vertex of degree >= 2,
+    or the smaller end of a lone edge.
+    """
+    deg = [0] * g.n
     for u, v in factor_edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    seen = [False] * n
-    stars: list[list] = []  # [center, [leaves]] while still mutable
-    star_of: dict[int, int] = {}
-    for root in range(n):
-        if seen[root]:
-            continue
-        # BFS tree of this factor component, rooted at its smallest vertex
-        parent = {root: -1}
-        depth = {root: 0}
-        children: dict[int, list[int]] = {root: []}
-        order = [root]
-        seen[root] = True
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for w in sorted(nbr[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    children[w] = []
-                    children[v].append(w)
-                    order.append(w)
-        original_children = {v: list(children[v]) for v in order}
-        for v in sorted(order, key=lambda x: (-depth[x], x)):
-            if v == root:
-                continue
-            if children[v]:  # all remaining children are leaves by depth order
-                star_of[v] = len(stars)
-                stars.append([v, list(children[v])])
-                children[parent[v]].remove(v)
-        if children[root]:
-            star_of[root] = len(stars)
-            stars.append([root, list(children[root])])
-        elif original_children[root]:
-            # stranded root: every child became a centre; join the first
-            c = min(original_children[root])
-            stars[star_of[c]][1].append(root)
-        else:  # pragma: no cover - factor degrees >= 1 forbid singletons
-            raise AssertionError("isolated vertex inside a [1,m]-factor")
-    forest = StarForest(tuple(Star(c, tuple(sorted(ls))) for c, ls in stars))
+        deg[u] += 1
+        deg[v] += 1
+    kept = []
+    for u, v in factor_edges:
+        if deg[u] >= 2 and deg[v] >= 2:
+            deg[u] -= 1
+            deg[v] -= 1
+        else:
+            kept.append((u, v))
+    leaves: dict[int, list[int]] = {}
+    for u, v in kept:
+        if deg[v] >= 2 or (deg[u] == 1 and v < u):
+            u, v = v, u
+        leaves.setdefault(u, []).append(v)
+    forest = StarForest(
+        tuple(Star(c, tuple(sorted(leaves[c]))) for c in sorted(leaves))
+    )
     forest.validate(g, m)
     return forest
 

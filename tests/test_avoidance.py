@@ -484,7 +484,8 @@ def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
         (lambda g: check_vertex_deletion_all(g, 2, 2, 1), r"need 1 <= a < b, got a=2, b=2"),
         (lambda g: check_vertex_deletion_all(g, 2, 3, 0, deletions=[()]),
          "n must be >= 1, got 0"),
-        (lambda g: check_edge_deletion_star(g, 0, 1), "m must be >= 1, got 0"),
+        # B is proved for 1 <= n <= m/2, so m = 1 is never in range
+        (lambda g: check_edge_deletion_star(g, 1, 1), "m must be >= 2, got 1"),
         (lambda g: check_matching_deletion(g, 2, 3, 0), "n must be >= 1, got 0"),
         # n - 1 < 0 must not reach the count of the (n-1)-subsets
         (lambda g: check_theorem_D(g, 2, 3, 0), "n must be >= 1, got 0"),

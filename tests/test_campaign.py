@@ -35,12 +35,13 @@ def test_config_round_trips_through_text():
     assert CampaignConfig.from_text(config.to_text()) == config
 
 
-# the text of the default config at the parent of the theorem table; the
-# report header embeds it, so it must not change
+# the text of the default config at the parent of the theorem table, less
+# the `budget` line of the search no cell runs; the report header embeds
+# it, so it must not change otherwise
 DEFAULT_CONFIG_TEXT = (
     "theorems = A,B,C,E,D1\nn_min = 7\nn_max = 10\np_list = 3/5,3/4\n"
     "seed_list = " + ",".join(str(s) for s in range(1, 41)) + "\n"
-    "quota = 25\ncap_n = 12\ncap_deletions = 500\nbudget = 500000\n"
+    "quota = 25\ncap_n = 12\ncap_deletions = 500\n"
     "A.ab = 1:2,2:3\nA.n = 1\nB.m = 2,3,4\nB.n = 1\nC.ab = 2:3\nC.n = 1\n"
     "D.ab = 2:3\nD.n = 1\nE.ab = 2:3\nD1.ab = 2:3\nD1.n = 1\nD1.k = 2,b\n"
     "extremal = \noutput_json = \noutput_csv = \n"
@@ -75,7 +76,6 @@ def valid_configs(draw):
         quota=draw(st.integers(1, 30)),
         cap_n=draw(st.integers(0, 20)),
         cap_deletions=draw(st.integers(0, 5000)),
-        budget=draw(st.integers(0, 10**6)),
         a_ab=draw(_pairs), a_n=draw(_ints), b_m=draw(_ints), b_n=draw(_ints),
         c_ab=draw(_pairs), c_n=draw(_ints), d_ab=draw(_pairs), d_n=draw(_ints),
         e_ab=draw(_pairs), d1_ab=d1_ab, d1_n=draw(_ints),
@@ -107,6 +107,12 @@ def test_config_file_round_trip(tmp_path):
 def test_config_unknown_field_is_named():
     with pytest.raises(ValueError, match="wibble"):
         CampaignConfig.from_text("wibble = 3\n")
+
+
+def test_config_budget_key_is_refused():
+    # no campaign cell runs the constructive search, so no budget is read
+    with pytest.raises(ValueError, match="config line 2: unknown field 'budget'"):
+        CampaignConfig.from_text("quota = 3\nbudget = 5\n")
 
 
 def test_config_bad_value_names_field():

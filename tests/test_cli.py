@@ -74,7 +74,7 @@ def test_factor_star_decomposition_included(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["stars"] == [{"center": 0, "leaves": [1, 2, 3]}]
-    # the forest is peeled from a spanning tree of the printed factor
+    # the forest is pruned from the printed factor
     for g, b in [(complete_graph(4), 3), (complete_graph(5), 2), (cycle_graph(5), 2)]:
         path.write_text(emit_graph6(g) + "\n")
         code, out, _ = run_cli(capsys, ["factor", str(path), "--a", "1", "--b", str(b), "--find"])
@@ -138,6 +138,27 @@ def test_avoid_edges_mode_vacuous(tmp_path, capsys):
     # deleting any claw edge strands a leaf, so the conclusion also fails
     assert code == 1
     assert payload["conclusion"] is False
+
+
+def test_avoid_edges_mode_refuses_m_1(tmp_path, capsys):
+    # B is proved for 1 <= n <= m/2, so m = 1 is refused before any work
+    path = tmp_path / "p4.g6"
+    path.write_text(emit_graph6(path_graph(4)) + "\n")
+    code, out, err = run_cli(
+        capsys, ["avoid", str(path), "--mode", "edges", "--m", "1", "--n", "1"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: m must be >= 2, got 1\n"
+
+
+def test_avoid_refuses_budget(capsys):
+    # no avoid mode runs the constructive search
+    argv = ["avoid", "-", "--mode", "vertices", "--a", "1", "--b", "2", "--n", "1",
+            "--budget", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 def test_avoid_missing_parameter_is_usage_error(tmp_path, capsys):

@@ -25,6 +25,8 @@ from factorbench.factors import (
     DEFAULT_SEARCH_BUDGET,
     DegreeBounds,
     FactorCertificate,
+    Star,
+    _peel_stars,
     _search_factor,
     brute_force_factor,
     check_ab_factor,
@@ -334,6 +336,41 @@ def test_find_ab_factor_budget_is_distinct_from_nonexistence():
     assert find_ab_factor(g, 3, 4, budget=2).exists
 
 
+def test_verify_rejects_a_repeated_edge():
+    k2 = path_graph(2)
+    for edges in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
+        assert not FactorCertificate(True, factor_edges=edges).verify(k2, 2, 2)
+    assert not find_ab_factor(k2, 2, 2).exists
+
+
+@st.composite
+def small_graph_and_ab_with_equal(draw):
+    n = draw(st.integers(0, 8))
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    a = draw(st.integers(0, 3))
+    return Graph(n, edges), a, draw(st.integers(a, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graph_and_ab_with_equal(), st.data())
+def test_built_factors_verify_and_tampered_ones_do_not(case, data):
+    g, a, b = case
+    cert = find_ab_factor(g, a, b)
+    if not cert.exists:
+        return
+    edges = cert.factor_edges
+    assert cert.verify(g, a, b)
+    if edges:
+        u, v = data.draw(st.sampled_from(edges))
+        for repeat in ((u, v), (v, u)):
+            tampered = FactorCertificate(True, factor_edges=edges + (repeat,))
+            assert not tampered.verify(g, a, b)
+    non_edges = [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)]
+    if non_edges:
+        extra = data.draw(st.sampled_from(non_edges))
+        assert not FactorCertificate(True, factor_edges=edges + (extra,)).verify(g, a, b)
+
+
 def test_brute_force_edge_cap():
     with pytest.raises(CapExceeded):
         brute_force_factor(complete_graph(9), 1, 2, max_edges=25)
@@ -432,6 +469,36 @@ def test_find_star_factor_examples():
     forest = find_star_factor(two_k2, 1)
     assert forest is not None and len(forest.stars) == 2
     forest.validate(two_k2, 1)
+
+
+def test_peel_drops_an_edge_between_two_centres():
+    # P5 as its own [1,2]-factor: (1, 2) is the one edge whose ends both
+    # have degree 2, so pruning it leaves 0-1 and the cherry 2-3-4
+    p5 = path_graph(5)
+    forest = _peel_stars(p5, p5.edges, 2)
+    assert forest.stars == (Star(0, (1,)), Star(3, (2, 4)))
+
+
+@st.composite
+def small_graph_and_m(draw):
+    n = draw(st.integers(0, 12))
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    return Graph(n, edges), draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graph_and_m())
+def test_peel_prunes_the_factor_into_a_star_forest(case):
+    g, m = case
+    cert = find_ab_factor(g, 1, m)
+    if not cert.exists:
+        return
+    forest = _peel_stars(g, cert.factor_edges, m)
+    forest.validate(g, m)
+    factor = set(cert.factor_edges)
+    for center, leaves in forest.stars:
+        for leaf in leaves:
+            assert (min(center, leaf), max(center, leaf)) in factor
 
 
 def test_find_star_factor_none_when_impossible():
