@@ -119,29 +119,44 @@ class CampaignConfig:
                     f"config field 'extremal': H{quad} has {order} vertices, and "
                     f"graph6 short form supports at most {GRAPH6_MAX_N}"
                 )
-        for cell in self.cells():
-            try:
-                _check_params(cell.params)
-            except ValueError as exc:
-                raise ValueError(f"config cell {cell.label()}: {exc}") from None
+        for t in self.theorems:
+            axes = THEOREMS[t].axes
+            used = [set() for _ in axes]
+            for values, params in self._grid_cells(t):
+                try:
+                    _check_params(params)
+                except ValueError as exc:
+                    raise ValueError(f"config cell {Cell(t, params).label()}: {exc}") from None
+                for seen, value in zip(used, values):
+                    seen.add(value)
+            # a listed value that yields no cell would be dropped without a word
+            for axis, seen in zip(axes, used):
+                for value in getattr(self, f"{t.lower()}_{axis}"):
+                    if value not in seen:
+                        text = _LIST_ITEMS.get(axis, _INT_ITEM)[1](value)
+                        raise ValueError(
+                            f"config field '{t}.{axis}': value {text} yields no {t} cell"
+                        )
 
     # -- cells -------------------------------------------------------------
 
+    def _grid_cells(self, t: str):
+        """Yield (axis values, params) for each cell of theorem ``t`` that
+        its ``in_grid`` keeps, in grid order."""
+        row = THEOREMS[t]
+        grid = (getattr(self, f"{t.lower()}_{axis}") for axis in row.axes)
+        for values in product(*grid):
+            params: dict = {}
+            for axis, value in zip(row.axes, values):
+                if axis == "ab":
+                    params["a"], params["b"] = value
+                else:  # k may be the symbolic b
+                    params[axis] = params["b"] if value == "b" else value
+            if row.in_grid(params):
+                yield values, params
+
     def cells(self) -> list[Cell]:
-        out: list[Cell] = []
-        for t in self.theorems:
-            row = THEOREMS[t]
-            grid = (getattr(self, f"{t.lower()}_{axis}") for axis in row.axes)
-            for values in product(*grid):
-                params: dict = {}
-                for axis, value in zip(row.axes, values):
-                    if axis == "ab":
-                        params["a"], params["b"] = value
-                    else:  # k may be the symbolic b
-                        params[axis] = params["b"] if value == "b" else value
-                if row.in_grid(params):
-                    out.append(Cell(t, params))
-        return out
+        return [Cell(t, params) for t in self.theorems for _, params in self._grid_cells(t)]
 
     # -- file format ---------------------------------------------------------
 

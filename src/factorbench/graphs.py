@@ -52,6 +52,24 @@ class Graph:
         object.__setattr__(self, "adj", tuple(masks))
         object.__setattr__(self, "edges", tuple(sorted(clean)))
 
+    @classmethod
+    def _from_adj(cls, n: int, masks: Sequence[int]) -> "Graph":
+        """Trusted constructor for masks that are already symmetric,
+        loop-free and inside ``range(n)``; the sorted ``edges`` tuple is
+        read off the bits above each vertex."""
+        edges = []
+        for u in range(n):
+            m = masks[u] >> (u + 1)
+            while m:
+                bit = m & -m
+                m ^= bit
+                edges.append((u, u + bit.bit_length()))
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(masks))
+        object.__setattr__(g, "edges", tuple(edges))
+        return g
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Graph is immutable")
 
@@ -139,6 +157,9 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 # j = 1..n-1, i = 0..j-1 packed big-endian into 6-bit groups, each group
 # emitted as chr(group + 63).  Trailing pad bits must be zero.
 
+_GRAPH6_PAYLOAD_BYTES = bytes(range(63, 127))
+_GRAPH6_BITS = {byte: format(byte - 63, "06b") for byte in _GRAPH6_PAYLOAD_BYTES}
+
 
 def parse_graph6(line: str) -> Graph:
     """Decode one line of graph6 text (short form only)."""
@@ -164,22 +185,26 @@ def parse_graph6(line: str) -> Graph:
             f"expected {need} payload bytes for n={n}, got {len(data) - 1}",
             offset=min(len(data), need + 1),
         )
-    edges = []
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    k = 0
-    for pos, byte in enumerate(data[1:], start=1):
-        group = byte - 63
-        if not 0 <= group <= 63:
-            raise GraphFormatError(f"invalid payload byte {byte}", offset=pos)
-        for shift in range(5, -1, -1):
-            bit = group >> shift & 1
-            if k < nbits:
-                if bit:
-                    edges.append(pairs[k])
-                k += 1
-            elif bit:
-                raise GraphFormatError("nonzero padding bits", offset=pos)
-    return Graph(n, edges)
+    payload = data[1:]
+    bad = payload.translate(None, _GRAPH6_PAYLOAD_BYTES)
+    if bad:
+        byte = bad[0]
+        raise GraphFormatError(f"invalid payload byte {byte}", offset=payload.index(byte) + 1)
+    # one character per bit, x(0,1) x(0,2) x(1,2) x(0,3) ... then the pad
+    bits = "".join([_GRAPH6_BITS[byte] for byte in payload])
+    if "1" in bits[nbits:]:
+        raise GraphFormatError("nonzero padding bits", offset=need)
+    # reversed, pair k = j(j-1)/2 + i is bit k of one int
+    x = int(bits[nbits - 1::-1], 2) if nbits else 0
+    masks = [0] * n
+    for j in range(1, n):
+        col = x >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        masks[j] = col
+        while col:
+            bit = col & -col
+            col ^= bit
+            masks[bit.bit_length() - 1] |= 1 << j
+    return Graph._from_adj(n, masks)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -386,17 +411,18 @@ def delete(g: Graph, spec: DeletionSpec) -> DeletionResult:
     spec.validate(g)
     if spec.kind == "vertices":
         gone = set(spec.members)
-        keep = [v for v in range(g.n) if v not in gone]
-        index = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in g.edges
-            if u not in gone and v not in gone
-        ]
-        return DeletionResult(Graph(len(keep), edges), tuple(keep))
-    gone_edges = set(spec.members)
-    edges = [e for e in g.edges if e not in gone_edges]
-    return DeletionResult(Graph(g.n, edges), tuple(range(g.n)))
+        keep = tuple(v for v in range(g.n) if v not in gone)
+        masks = [g.adj[v] for v in keep]
+        # squeeze each deleted vertex's bit out, from the top down
+        for v in sorted(gone, reverse=True):
+            low = (1 << v) - 1
+            masks = [m & low | m >> (v + 1) << v for m in masks]
+        return DeletionResult(Graph._from_adj(len(keep), masks), keep)
+    masks = list(g.adj)
+    for u, v in spec.members:
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+    return DeletionResult(Graph._from_adj(g.n, masks), tuple(range(g.n)))
 
 
 def delete_vertices(g: Graph, vs: Iterable[int]) -> DeletionResult:

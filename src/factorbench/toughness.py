@@ -100,22 +100,45 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
     The check runs on the closure candidates below v before the rest of
     the closure is built.
 
-    The prunes.  Once an incumbent num/den exists, two bounds skip
-    children whose whole subtree is strictly worse.  N only grows down the
-    tree, and each bound below grows with |N|.
-      * Degree.  A child v has |N| >= deg(v) in its whole subtree, and at
-        most n - |N| isolates, so its ratio is at least d / (n - d) with
-        d = deg(v).  That strictly exceeds num/den exactly when
-        d > num*n / (num + den), so each visit keeps only the candidates
-        of degree at most num*n // (num + den): one division per visit.
-      * Subtree.  Extension adds only vertices above the core index and
-        never a vertex of N, so every closed set under child v of P lies
-        inside P + ((V - N) cap [v, n)).  Before its closure is built, v
-        is skipped when |N| / |P + ((V - N) cap [v, n))| > num/den.
-    Both tests are strict, so a subtree holding a set as good as the
-    incumbent is never cut, and an optimal S is always visited.  Since
-    ties go to the lexicographically smaller sorted tuple, the witness
-    is the lexicographically smallest optimal S whatever the visit order.
+    The prunes.  Once an incumbent num/den exists, three bounds skip work
+    whose whole subtree is strictly worse.  N only grows down the tree.
+    The fact behind all three: a closed set Q that ties or beats num/den
+    holds only vertices of degree at most cap = num*n // (num + den).  For
+    x in Q, N(x) lies inside N(Q) and Q inside V - N(Q), so |N(Q)| / |Q|
+    >= d / (n - d) with d = deg(x), and d / (n - d) > num/den exactly when
+    d > num*n / (num + den), that is d > cap.  Let lim be the vertices of
+    degree at most cap.
+      * Degree.  Each visit keeps only the child candidates in lim: one
+        division per visit.
+      * Degree-capped room.  Extension adds only vertices above the core
+        index and never a vertex of N, so a set Q under child v of P that
+        ties or beats the incumbent lies inside P + ((V - N) cap [v, n)
+        cap lim), and |N(Q)| >= |N|.  Before its closure is built, v is
+        skipped when |N| / |P + ((V - N) cap [v, n) cap lim)| > num/den:
+        then every such Q has |N(Q)| / |Q| > num/den.  Strict, because a
+        Q that ties has |N|*den <= |N(Q)|*den = num*|Q|, which is at most
+        num times that room, so v is kept.
+      * Pendant-private gain.  Call x a private neighbour of w when w is
+        x's only neighbour of degree at most cap, and let pv[w] hold them.
+        The pv[w] are disjoint subsets of N(w), which is all the proof
+        needs; the private rule files each x under the one neighbour a set
+        that ties the incumbent can hold.  A Q below the visit at P is
+        P + A with A inside the visit's candidates ``rest`` (already masked
+        by lim), and N(Q) holds N(P) and the disjoint sets pv[w] - N(P)
+        for w in A.  So Q ties or beats num/den only if
+        excess = |N(P)|*den - num*|P| <= sum over w in A of
+        (num - den*|pv[w] - N(P)|) <= sum over w in rest of
+        max(0, num - den*|pv[w] - N(P)|).  The visit returns before its
+        child loop when excess exceeds that sum.  Strict, because a Q that
+        ties meets the first inequality with equality, so excess is at
+        most the sum and the visit goes on.  pv is rebuilt only when cap
+        changes, and cap only falls as the incumbent improves; a pv built
+        at a larger cap would still be sound, only weaker.
+    Every test is strict, so a subtree holding a set as good as the
+    incumbent is never cut, and an optimal S is always visited: a tie must
+    be seen, since ties go to the lexicographically smaller sorted tuple.
+    So the witness is the lexicographically smallest optimal S whatever
+    the visit order.
 
     Ratios are compared as cross-multiplied integers, holding the
     incumbent as the pair (num, den); the one `Fraction` is built at
@@ -141,21 +164,48 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
     # incumbent ratio num/den, den = i(G - best_s); den == 0 means none yet
     num, den = 0, 0
     best_s: tuple[int, ...] = ()
+    # pv[w]: the private neighbours of w at degree cap ``cap``; has_pv
+    # marks the w that have some
+    cap = -1
+    pv = [0] * n
+    has_pv = 0
 
     def extend(p: int, nbr: int, start: int) -> None:
         """Visit the children of the closed set ``p`` with N(p) = ``nbr``;
         ``start`` is one past p's core index."""
-        nonlocal num, den, best_s
+        nonlocal num, den, best_s, cap, has_pv
         rest = (full ^ p ^ nbr) >> start << start
+        lim = full
         if den:
-            rest &= deg_at_most[num * n // (num + den)]
+            c = num * n // (num + den)
+            lim = deg_at_most[c]
+            if c != cap:  # cap only falls: rebuild pv for the new cap
+                cap = c
+                pv[:] = [0] * n
+                has_pv = 0
+                for x in range(n):
+                    low = adj[x] & lim
+                    if low and not low & (low - 1):
+                        pv[low.bit_length() - 1] |= 1 << x
+                        has_pv |= low
+            rest &= lim
+            ws = rest & has_pv
+            excess = nbr.bit_count() * den - num * p.bit_count() if ws else 0
+            if excess > 0:
+                gain = num * (rest ^ ws).bit_count()
+                while ws and gain < excess:
+                    w = ws & -ws
+                    ws ^= w
+                    gain += max(0, num - den * (pv[w.bit_length() - 1] & ~nbr).bit_count())
+                if gain < excess:
+                    return  # every closed set below p is strictly worse
         while rest:
             bit = rest & -rest
             rest ^= bit
             nn = nbr | adj[bit.bit_length() - 1]
             k = nn.bit_count()
             keep = full ^ nn
-            if k * den > num * ((keep & -bit) | p).bit_count():
+            if k * den > num * ((keep & -bit & lim) | p).bit_count():
                 continue  # every closed set in this subtree is strictly worse
             cand = deg_at_most[k] & (keep ^ p ^ bit)
             low = cand & (bit - 1)

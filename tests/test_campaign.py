@@ -60,12 +60,33 @@ _pairs = st.lists(
 _paths = st.none() | st.text("abc./_-", min_size=1, max_size=8)
 
 
+def _all_or_none(*axes):
+    """A theorem's axes as drawn, or all empty when one is: an empty axis
+    leaves every value of the others without a cell."""
+    return axes if all(axes) else tuple(() for _ in axes)
+
+
 @st.composite
 def valid_configs(draw):
+    """Configs that validate: every listed value yields a cell."""
     n_min = draw(st.integers(1, 9))
     d1_ab = draw(_pairs)
     # every D1 cell needs k <= b
     k_max = min((b for _, b in d1_ab), default=6)
+    # a B cell needs 2n <= m: each m has the smallest n, each kept n the
+    # largest m
+    b_n = draw(_ints)
+    b_m = ()
+    if b_n:
+        b_m = tuple(draw(st.lists(st.integers(2 * min(b_n), 18), min_size=1, max_size=3)))
+        b_n = tuple(v for v in b_n if 2 * v <= max(b_m))
+    a_ab, a_n = _all_or_none(draw(_pairs), draw(_ints))
+    c_ab, c_n = _all_or_none(draw(_pairs), draw(_ints))
+    d_ab, d_n = _all_or_none(draw(_pairs), draw(_ints))
+    d1_ab, d1_n, d1_k = _all_or_none(
+        d1_ab, draw(_ints),
+        tuple(draw(st.lists(st.integers(2, k_max) | st.just("b"), max_size=3))),
+    )
     return CampaignConfig(
         theorems=tuple(draw(st.lists(st.sampled_from(["A", "B", "C", "D", "E", "D1"]),
                                      max_size=4))),
@@ -76,10 +97,9 @@ def valid_configs(draw):
         quota=draw(st.integers(1, 30)),
         cap_n=draw(st.integers(0, 20)),
         cap_deletions=draw(st.integers(0, 5000)),
-        a_ab=draw(_pairs), a_n=draw(_ints), b_m=draw(_ints), b_n=draw(_ints),
-        c_ab=draw(_pairs), c_n=draw(_ints), d_ab=draw(_pairs), d_n=draw(_ints),
-        e_ab=draw(_pairs), d1_ab=d1_ab, d1_n=draw(_ints),
-        d1_k=tuple(draw(st.lists(st.integers(2, k_max) | st.just("b"), max_size=3))),
+        a_ab=a_ab, a_n=a_n, b_m=b_m, b_n=b_n,
+        c_ab=c_ab, c_n=c_n, d_ab=d_ab, d_n=d_n,
+        e_ab=draw(_pairs), d1_ab=d1_ab, d1_n=d1_n, d1_k=d1_k,
         extremal=tuple(draw(st.lists(
             st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
                       st.integers(1, 3)).map(lambda q: (q[0], q[1], q[1] + q[2], q[3])),
@@ -168,8 +188,31 @@ def test_config_comments_and_blanks_are_ignored():
     assert CampaignConfig.from_text(text).quota == 7
 
 
+def test_config_refuses_a_grid_value_that_yields_no_cell(monkeypatch):
+    import factorbench.campaign as campaign
+
+    def no_sampling(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("graphs drawn for an invalid config")
+
+    monkeypatch.setattr(campaign, "generate_random", no_sampling)
+    # B needs 2n <= m: m = 1 has no n, and n = 2 needs m >= 4
+    with pytest.raises(ValueError, match=r"config field 'B.m': value 1 yields no B cell"):
+        CampaignConfig.from_text("theorems = B\nB.m = 1\nB.n = 1\nquota = 1\n")
+    with pytest.raises(ValueError, match=r"config field 'B.n': value 2 yields no B cell"):
+        small_config(b_m=(2, 3), b_n=(1, 2)).validate()
+    with pytest.raises(ValueError, match=r"config field 'A.ab': value 1:2 yields no A cell"):
+        small_config(a_n=()).validate()
+    with pytest.raises(ValueError, match=r"config field 'D1.n': value 1 yields no D1 cell"):
+        small_config(d1_ab=()).validate()  # an empty axis leaves the others no cell
+    # only the listed theorems' grids are checked
+    small_config(theorems=("A",), b_m=(1,)).validate()
+    with pytest.raises(ValueError, match=r"'B.m': value 1"):
+        run_campaign(small_config(b_m=(1, 2)))
+
+
 def test_cells_drop_out_of_range_star_cells():
     config = small_config(b_m=(2, 3, 4), b_n=(1, 2))
+    config.validate()  # every listed m and n has a cell
     cells = [c for c in config.cells() if c.theorem == "B"]
     assert {(c.params["m"], c.params["n"]) for c in cells} == {
         (2, 1), (3, 1), (4, 1), (4, 2),

@@ -149,6 +149,100 @@ def test_graph6_agrees_with_networkx_reference(g):
     assert set(back.edges()) == {tuple(e) for e in g.edges}
 
 
+def _bitwise_parse_graph6(line):
+    """Reference decoder: the bit-by-bit loop that builds the edge list and
+    goes through the validating constructor; the mask parser must accept
+    and refuse exactly what it does, with the same messages and offsets."""
+    text = line.strip()
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<"):]
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise GraphFormatError("graph6 line is not ASCII", offset=exc.start) from None
+    if not data:
+        raise GraphFormatError("empty graph6 line", offset=0)
+    first = data[0]
+    if first == 126:
+        raise GraphFormatError("long-form graph6 (n > 62) is not supported", offset=0)
+    if not 63 <= first <= 125:
+        raise GraphFormatError(f"invalid size byte {first}", offset=0)
+    n = first - 63
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(data) - 1 != need:
+        raise GraphFormatError(
+            f"expected {need} payload bytes for n={n}, got {len(data) - 1}",
+            offset=min(len(data), need + 1),
+        )
+    edges = []
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    k = 0
+    for pos, byte in enumerate(data[1:], start=1):
+        group = byte - 63
+        if not 0 <= group <= 63:
+            raise GraphFormatError(f"invalid payload byte {byte}", offset=pos)
+        for shift in range(5, -1, -1):
+            bit = group >> shift & 1
+            if k < nbits:
+                if bit:
+                    edges.append(pairs[k])
+                k += 1
+            elif bit:
+                raise GraphFormatError("nonzero padding bits", offset=pos)
+    return Graph(n, edges)
+
+
+def _parse_outcome(parse, line):
+    try:
+        g = parse(line)
+    except GraphFormatError as exc:
+        return "error", str(exc), exc.offset
+    return "graph", g.n, g.adj, g.edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**12 - 1), st.integers(0, 40), st.sampled_from([1, 2, 3, 4]))
+def test_graph6_parse_restores_adj_and_edges(seed, n, denom):
+    g = generate_random(n, Fraction(denom, 5), seed)
+    h = parse_graph6(emit_graph6(g))
+    assert h.n == g.n and h.adj == g.adj and h.edges == g.edges
+
+
+@st.composite
+def graph6_like_lines(draw):
+    """Printable lines, most with a size byte and a payload of about the
+    right length, so that the byte and padding checks are reached."""
+    printable = st.sampled_from([chr(c) for c in range(32, 127)])
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(printable | st.sampled_from(["\t", "\xe9", "\x7f"]), max_size=12))
+    n = draw(st.integers(0, 16))
+    need = (n * (n - 1) // 2 + 5) // 6
+    length = max(0, need + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+    payload = draw(st.lists(
+        st.integers(63, 126) | printable.map(ord) | st.just(127),
+        min_size=length, max_size=length,
+    ))
+    head = draw(st.sampled_from(["", "", ">>graph6<<", " "]))
+    tail = draw(st.sampled_from(["", "", "\n", " "]))
+    return head + chr(n + 63) + "".join(map(chr, payload)) + tail
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph6_like_lines())
+def test_graph6_parse_matches_the_bitwise_reference(line):
+    assert _parse_outcome(parse_graph6, line) == _parse_outcome(_bitwise_parse_graph6, line)
+
+
+def test_graph6_error_order_matches_the_bitwise_reference():
+    # a bad byte before a nonzero pad bit is named first; a bad last byte
+    # is a bad byte, not padding
+    for line in ("D\x7f~", "D~\x7f", "D?@", "D?\x7f", "B\x7f", "Bx"):
+        assert _parse_outcome(parse_graph6, line) == _parse_outcome(_bitwise_parse_graph6, line)
+    with pytest.raises(GraphFormatError, match=r"invalid payload byte 127 \(byte offset 1\)"):
+        parse_graph6("D\x7f~")
+
+
 # -- generators ---------------------------------------------------------------
 
 
@@ -277,6 +371,34 @@ def test_delete_then_unremap_is_identity(g, data):
     survivors = set(res.original_labels)
     expected = {e for e in g.edges if e[0] in survivors and e[1] in survivors}
     assert lifted == expected
+
+
+def _edge_list_delete(g, kind, members):
+    """Reference deletion through the edge list and the validating
+    constructor."""
+    if kind == "vertices":
+        keep = [v for v in range(g.n) if v not in set(members)]
+        index = {old: new for new, old in enumerate(keep)}
+        edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+        return Graph(len(keep), edges), tuple(keep)
+    gone = {(min(e), max(e)) for e in members}
+    return Graph(g.n, [e for e in g.edges if e not in gone]), tuple(range(g.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(max_n=14), st.data())
+def test_delete_vertices_and_edges_match_the_edge_list_reference(g, data):
+    vs = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+    res = delete_vertices(g, vs)
+    ref, labels = _edge_list_delete(g, "vertices", vs)
+    assert (res.graph.n, res.graph.adj, res.graph.edges) == (ref.n, ref.adj, ref.edges)
+    assert res.original_labels == labels
+    if g.edges:
+        es = data.draw(st.lists(st.sampled_from(g.edges), max_size=4))
+        es = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in es]
+        h = delete_edges(g, es)
+        ref, _ = _edge_list_delete(g, "edges", es)
+        assert (h.n, h.adj, h.edges) == (ref.n, ref.adj, ref.edges)
 
 
 # -- isolated vertices --------------------------------------------------------

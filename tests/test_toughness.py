@@ -299,6 +299,27 @@ def test_witness_on_h_like_graphs(g):
     assert (rep.value, rep.witness, rep.isolated_at_witness) == reference_triple(g)
 
 
+@st.composite
+def graphs_with_pendants(draw):
+    """A random graph on at most 10 vertices plus 1-4 pendant vertices,
+    each joined to one earlier vertex, with the labels shuffled.  The
+    pendants make private neighbours for the pendant-gain bound."""
+    n = draw(st.integers(1, 10))
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    for _ in range(draw(st.integers(1, 4))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_pendants())
+def test_witness_on_graphs_with_pendants(g):
+    rep = isolated_toughness(g)
+    assert (rep.value, rep.witness, rep.isolated_at_witness) == reference_triple(g)
+
+
 @pytest.mark.parametrize(
     "params, expected",
     [
@@ -319,6 +340,10 @@ def test_witness_on_h_like_graphs(g):
          (Fraction(19, 13),
           (0, 1, 2, 3, 4, 5, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31),
           13)),
+        # beyond the criterion-3 grid: the small clique and the 13 or 17
+        # pendant ends u_i in the large clique
+        ((4, 2, 3, 1), (Fraction(17, 13), tuple(range(4)) + tuple(range(17, 30)), 13)),
+        ((4, 3, 4, 1), (Fraction(25, 17), tuple(range(8)) + tuple(range(25, 42)), 17)),
     ],
 )
 def test_extremal_h_toughness_triples_are_pinned(params, expected):
