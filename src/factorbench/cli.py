@@ -5,8 +5,8 @@ Graphs arrive as graph6 lines on stdin or from a file; machine-readable
 output is JSON (certificates, verdicts, reports) plus CSV summaries.
 
 Exit codes: 0 = positive verdict / verified, 1 = negative verdict or
-counterexample, 2 = usage, parse, or config error, 3 = cap or search
-budget exceeded.  FACTORBENCH_CAP_N and FACTORBENCH_CAP_DELETIONS set the
+counterexample, 2 = usage, parse, or config error, 3 = enumeration cap
+exceeded.  FACTORBENCH_CAP_N and FACTORBENCH_CAP_DELETIONS set the
 default enumeration caps.
 """
 
@@ -21,8 +21,8 @@ from dataclasses import replace
 from . import __version__
 from .avoidance import DEFAULT_CAP_DELETIONS, DEFAULT_CAP_N, THEOREMS, extremal_sharpness
 from .campaign import CampaignConfig, run_campaign
-from .errors import CapExceeded, GraphFormatError, SearchBudgetExceeded
-from .factors import DEFAULT_SEARCH_BUDGET, _peel_stars, check_ab_factor, find_ab_factor
+from .errors import CapExceeded, GraphFormatError
+from .factors import _peel_stars, check_ab_factor, find_ab_factor
 from .graphs import GRAPH6_MAX_N, emit_graph6, extremal_order, parse_graph6
 from .toughness import isolated_toughness
 
@@ -88,7 +88,7 @@ def cmd_factor(args) -> int:
     if args.a < args.b and not args.find:
         cert = check_ab_factor(g, args.a, args.b, cap_n=args.cap_n)
     else:
-        cert = find_ab_factor(g, args.a, args.b, budget=args.budget, cert_cap=args.cap_n)
+        cert = find_ab_factor(g, args.a, args.b, cert_cap=args.cap_n)
     payload = cert.to_json_dict()
     if args.find and cert.exists and args.a == 1:
         payload["stars"] = _peel_stars(g, cert.factor_edges, args.b).to_json_dict()
@@ -179,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max vertices for subset enumeration"),
         "--cap-deletions": dict(type=int, default=cap_del_default,
                                 help="max enumerated deletions per instance"),
-        "--budget": dict(type=int, default=DEFAULT_SEARCH_BUDGET,
-                         help="node budget for the constructive search, which "
-                         "only factor with a = b runs"),
     }
 
     def add_caps(p, *flags):
@@ -197,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--find", action="store_true", help="construct an explicit factor")
-    add_caps(p, "--cap-n", "--budget")
+    add_caps(p, "--cap-n")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("avoid", help="deletion-avoiding factor checks")
@@ -217,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    # extremal runs no search, so it ignores --budget; the flag stays
-    # accepted because bench/test_smoke.py passes it
-    add_caps(p, "--cap-n", "--budget")
+    add_caps(p, "--cap-n")
+    # the flag stays accepted because bench/test_smoke.py passes it
+    p.add_argument("--budget", type=int, help="ignored: nothing searches")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("campaign", help="run a verification campaign from a config file")
@@ -235,7 +232,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CapExceeded, SearchBudgetExceeded) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (GraphFormatError, ValueError, OSError) as exc:

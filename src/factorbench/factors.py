@@ -7,7 +7,7 @@ existence (a < b): the factor exists iff it is nonnegative for every S.
 Max-flow (``flow``) decides existence, and the one subset scan of the
 criterion, ``deficient_sets``, certifies refusals.  ``find_ab_factor``
 builds every explicit factor, star forests included: by rounding the flow
-for a < b, and by a budgeted backtracking search for a = b.  This module
+for a < b, and by blossom matching (``matching``) for a = b.  This module
 also houses an exhaustive oracle kept independent of both routes and the
 maximal-independent-set / covering-set pair search used by the deficiency
 lower-bound arguments.
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CapExceeded, SearchBudgetExceeded
+from .errors import CapExceeded
 from .flow import ab_factor, ab_factor_exists, gf_factor_exists
 from .graphs import Graph, vertex_mask
+from .matching import k_factor
 
 DEFAULT_SCAN_CAP = 16
-DEFAULT_SEARCH_BUDGET = 500_000
 DEFAULT_EDGE_CAP = 25
 
 
@@ -301,9 +301,9 @@ def _decided(g: Graph, bounds: DegreeBounds, exists: bool, cap_n: int) -> Factor
 
 
 def _certify_refusal(g: Graph, bounds: DegreeBounds, cap_n: int) -> FactorViolation:
-    """First violating S for a graph the flow or the search refused.
-    Finding none means that route and the criterion disagree, which is a
-    bug, not a verdict."""
+    """First violating S for a graph the flow refused.  Finding none
+    means the flow and the criterion disagree, which is a bug, not a
+    verdict."""
     if g.n > cap_n:
         raise CapExceeded(f"deficiency scan capped at {cap_n} vertices, got {g.n}")
     for s, _, tmask, d in deficient_sets(g, bounds):
@@ -327,28 +327,21 @@ def _check_ab(a: int, b: int, *, strict: bool) -> None:
 
 
 def find_ab_factor(
-    g: Graph,
-    a: int,
-    b: int,
-    *,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    cert_cap: int = DEFAULT_SCAN_CAP,
+    g: Graph, a: int, b: int, *, cert_cap: int = DEFAULT_SCAN_CAP
 ) -> FactorCertificate:
     """An explicit [a,b]-factor (a = b allowed), re-verified, or a refusal.
 
     For a < b the factor is rounded from the double-cover flow
-    (``flow.ab_factor``), in polynomial time and without ``budget``; a
-    refusal on at most ``cert_cap`` vertices carries the first violating
-    S of the deficiency scan.  For a = b the criterion has a parity term,
-    so the exhaustive backtracking search decides, and exceeding its
-    ``budget`` raises ``SearchBudgetExceeded``, which is distinct from
-    nonexistence.  A factor that fails ``FactorCertificate.verify`` is
-    raised as a bug.
+    (``flow.ab_factor``); a refusal on at most ``cert_cap`` vertices
+    carries the first violating S of the deficiency scan.  For a = b the
+    criterion has a parity term, and blossom matching decides
+    (``matching.k_factor``); a refusal carries no certificate.  A factor
+    that fails ``FactorCertificate.verify`` is raised as a bug.
     """
     _check_ab(a, b, strict=False)
     if a == 0 or g.n == 0:
         return FactorCertificate(exists=True, factor_edges=())
-    edges = ab_factor(g, a, b) if a < b else _search_factor(g, a, b, budget)
+    edges = ab_factor(g, a, b) if a < b else k_factor(g, a)
     if edges is None:
         if a < b and g.n <= cert_cap:
             violation = _certify_refusal(g, DegreeBounds.uniform(a, b, g.n), cert_cap)
@@ -358,120 +351,6 @@ def find_ab_factor(
     if not cert.verify(g, a, b):
         raise RuntimeError(f"the built [{a},{b}]-factor fails verification: {edges}")
     return cert
-
-
-_IN, _OUT, _UNDEC = 1, -1, 0
-
-
-def _search_factor(g: Graph, a: int, b: int, budget: int):
-    """Core backtracking search; returns the factor's edges or None."""
-    n = g.n
-    edges = g.edges
-    m = len(edges)
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(edges):
-        inc[u].append(idx)
-        inc[v].append(idx)
-    state = [_UNDEC] * m
-    deg = [0] * n
-    rem = [len(inc[v]) for v in range(n)]
-    nodes = 0
-
-    def apply(idx: int, val: int, trail: list[int]) -> bool:
-        """Set one edge and propagate all forced consequences.  Returns
-        False on contradiction; ``trail`` records edges to undo.  Counter
-        updates for an edge are committed for both endpoints before any
-        conflict return, so undo() stays consistent."""
-        pending = [(idx, val)]
-        while pending:
-            i, want = pending.pop()
-            cur = state[i]
-            if cur != _UNDEC:
-                if cur != want:
-                    return False
-                continue
-            state[i] = want
-            trail.append(i)
-            u, v = edges[i]
-            rem[u] -= 1
-            rem[v] -= 1
-            if want == _IN:
-                deg[u] += 1
-                deg[v] += 1
-            for x in (u, v):
-                if deg[x] > b:
-                    return False
-                if deg[x] + rem[x] < a:
-                    return False
-                if want == _IN and deg[x] == b:
-                    for j in inc[x]:
-                        if state[j] == _UNDEC:
-                            pending.append((j, _OUT))
-                if deg[x] < a and deg[x] + rem[x] == a:
-                    for j in inc[x]:
-                        if state[j] == _UNDEC:
-                            pending.append((j, _IN))
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for i in reversed(trail):
-            val = state[i]
-            state[i] = _UNDEC
-            for x in edges[i]:
-                rem[x] += 1
-                if val == _IN:
-                    deg[x] -= 1
-
-    def pick() -> int | None:
-        """Undecided edge at the most constrained deficient vertex."""
-        best_v = None
-        best_slack = None
-        for v in range(n):
-            if deg[v] < a:
-                slack = deg[v] + rem[v] - a
-                if best_slack is None or slack < best_slack:
-                    best_v, best_slack = v, slack
-        if best_v is None:
-            return None
-        for j in inc[best_v]:
-            if state[j] == _UNDEC:
-                return j
-        raise AssertionError("deficient vertex with no undecided edge")
-
-    def dfs() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"factor search exceeded its budget of {budget} nodes"
-            )
-        idx = pick()
-        if idx is None:
-            return True  # every vertex already has degree in [a, b]
-        for val in (_IN, _OUT):
-            trail: list[int] = []
-            if apply(idx, val, trail) and dfs():
-                return True
-            undo(trail)
-        return False
-
-    # initial feasibility propagation (degrees below a, etc.)
-    trail0: list[int] = []
-    feasible = True
-    for v in range(n):
-        if deg[v] + rem[v] < a:
-            feasible = False
-            break
-        if deg[v] < a and rem[v] and deg[v] + rem[v] == a:
-            for j in inc[v]:
-                if state[j] == _UNDEC and not apply(j, _IN, trail0):
-                    feasible = False
-                    break
-            if not feasible:
-                break
-    if feasible and dfs():
-        return tuple(edges[i] for i in range(m) if state[i] == _IN)
-    return None
 
 
 def brute_force_factor(g: Graph, a: int, b: int, *, max_edges: int = DEFAULT_EDGE_CAP) -> bool:
@@ -533,15 +412,16 @@ def check_star_factor(g: Graph, m: int, *, cap_n: int = DEFAULT_SCAN_CAP) -> Sta
     A refusal is certified by the isolated-vertex criterion, i(G-S) <= m|S|
     for every S (the [1,m] deficiency with d_{G-S}(T) = 0); ``cap_n``
     bounds only that scan.  Single-edge stars (m = 1) are perfect
-    matchings, where counting isolated vertices is not enough (a triangle
-    passes but has none), so that case uses the classical odd-component
-    criterion instead.
+    matchings, decided by blossom matching.  There counting isolated
+    vertices is not enough (a triangle passes but has none), so a refusal
+    is certified by the first S, in size-then-lexicographic order, with
+    more than |S| odd components of G-S; ``cap_n`` bounds that scan.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if ab_factor_exists(g, 1, m) if m >= 2 else k_factor(g, 1) is not None:
+        return StarCheck(exists=True, m=m)
     if m >= 2:
-        if ab_factor_exists(g, 1, m):
-            return StarCheck(exists=True, m=m)
         violation = _certify_refusal(g, DegreeBounds.uniform(1, m, g.n), cap_n)
         return StarCheck(
             exists=False, m=m, witness=violation.s, isolated=len(violation.t),
@@ -549,15 +429,12 @@ def check_star_factor(g: Graph, m: int, *, cap_n: int = DEFAULT_SCAN_CAP) -> Sta
         )
     if g.n > cap_n:
         raise CapExceeded(f"star-factor scan capped at {cap_n} vertices, got {g.n}")
-    adj = g.adj
-    full = g.full_mask
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
-            keep = full & ~vertex_mask(combo)
-            odd = _odd_components(adj, keep)
+            odd = _odd_components(g.adj, g.full_mask & ~vertex_mask(combo))
             if odd > k:
                 return StarCheck(exists=False, m=1, witness=combo, odd_components=odd)
-    return StarCheck(exists=True, m=1)
+    raise RuntimeError("matching and odd-component routes disagree on a refusal")
 
 
 def _odd_components(adj: Sequence[int], keep: int) -> int:
@@ -581,16 +458,12 @@ def _odd_components(adj: Sequence[int], keep: int) -> int:
     return count
 
 
-def find_star_factor(
-    g: Graph, m: int, *, budget: int = DEFAULT_SEARCH_BUDGET
-) -> StarForest | None:
+def find_star_factor(g: Graph, m: int) -> StarForest | None:
     """Decompose the [1,m]-factor of ``find_ab_factor`` into a spanning
-    star forest, or None when no such factor exists.  ``budget`` bounds
-    only the search for m = 1, a perfect matching.
-    """
+    star forest, or None when no such factor exists."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    cert = find_ab_factor(g, 1, m, budget=budget, cert_cap=0)
+    cert = find_ab_factor(g, 1, m, cert_cap=0)
     return _peel_stars(g, cert.factor_edges, m) if cert.exists else None
 
 

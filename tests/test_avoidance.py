@@ -24,7 +24,7 @@ from factorbench import (
     path_graph,
     star_graph,
 )
-from factorbench import avoidance, cli, factors
+from factorbench import avoidance, cli, factors, matching
 from factorbench.avoidance import (
     Counterexample,
     Premise,
@@ -41,7 +41,6 @@ from factorbench.avoidance import (
     theorem_premises,
 )
 from factorbench.factors import (
-    DEFAULT_SEARCH_BUDGET,
     FactorCertificate,
     FactorViolation,
     brute_force_factor,
@@ -569,13 +568,13 @@ def test_lemma_d1_conclusion_violation_is_certified():
 
 
 def reference_counterexample(g, specs, a, b):
-    """First deletion whose deleted graph the backtracking search refuses,
+    """First deletion whose deleted graph the exhaustive oracle refuses,
     certified by the first S of negative deficiency in size-then-
     lexicographic order, from the public delta and low_set."""
     for spec in specs:
         res = delete(g, spec)
         h = res.graph
-        exists = factors._search_factor(h, a, b, DEFAULT_SEARCH_BUDGET) is not None
+        exists = brute_force_factor(h, a, b)
         assert exists == find_ab_factor(h, a, b, cert_cap=0).exists
         if exists:
             continue
@@ -588,7 +587,7 @@ def reference_counterexample(g, specs, a, b):
                         tuple(lift[x] for x in s), tuple(lift[x] for x in low_set(h, s, a)), d
                     )
                     return Counterexample(spec, FactorCertificate(False, violation=violation))
-        raise AssertionError(f"the search refuses G - {spec} but no S is deficient")
+        raise AssertionError(f"the oracle refuses G - {spec} but no S is deficient")
     return None
 
 
@@ -674,10 +673,10 @@ TRIANGLE_WITH_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     ids=["K7", "C5", "claw", "triangle-tail"],
 )
 def test_flow_decided_checks_never_search(monkeypatch, tmp_path, capsys, g):
-    def no_search(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("the constructive search ran")
+    def no_matching(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("the blossom matcher ran")
 
-    monkeypatch.setattr(factors, "_search_factor", no_search)
+    monkeypatch.setattr(matching, "perfect_matching", no_matching)
     path = tmp_path / "g.g6"
     path.write_text(emit_graph6(g) + "\n")
     outcomes = {"verified", "vacuous", "counterexample"}

@@ -93,14 +93,21 @@ def test_factor_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
-def test_factor_budget_exit_code(tmp_path, capsys):
-    path = tmp_path / "k8.g6"
-    path.write_text(emit_graph6(complete_graph(8)) + "\n")
-    code, _, err = run_cli(
-        capsys,
-        ["factor", str(path), "--a", "3", "--b", "3", "--find", "--budget", "2"],
-    )
-    assert code == 3 and "budget" in err
+def test_factor_refuses_budget(capsys):
+    # factor builds every factor in polynomial time, so nothing takes a budget
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "-", "--a", "2", "--b", "2", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def test_factor_decides_k_factor_parity(tmp_path, capsys):
+    # K9 has no 3-factor (9 * 3 is odd); it used to exhaust the search budget
+    path = tmp_path / "k9.g6"
+    path.write_text(emit_graph6(complete_graph(9)) + "\n")
+    code, out, _ = run_cli(capsys, ["factor", str(path), "--a", "3", "--b", "3"])
+    assert code == 1
+    assert json.loads(out) == {"verdict": "none"}
 
 
 def test_avoid_edge_mode(tmp_path, capsys):

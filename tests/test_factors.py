@@ -1,5 +1,5 @@
-"""Factor engine: deficiency, criteria, constructive search, oracles,
-star factors, and the independent-set/cover pair search."""
+"""Factor engine: deficiency, criteria, factor builders, oracles, star
+factors, and the independent-set/cover pair search."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -11,23 +11,21 @@ from hypothesis import strategies as st
 from factorbench import (
     CapExceeded,
     Graph,
-    SearchBudgetExceeded,
     build_extremal_H,
     complete_graph,
     cycle_graph,
     delete_vertices,
     disjoint_union,
     generate_random,
+    parse_graph6,
     path_graph,
     star_graph,
 )
 from factorbench.factors import (
-    DEFAULT_SEARCH_BUDGET,
     DegreeBounds,
     FactorCertificate,
     Star,
     _peel_stars,
-    _search_factor,
     brute_force_factor,
     check_ab_factor,
     check_gf_factor,
@@ -135,9 +133,10 @@ def test_check_ab_factor_cap():
 def test_cap_bounds_only_the_refusal_scan():
     # the flow decides "exists" at any size; only a refusal needs the scan
     assert check_ab_factor(complete_graph(20), 1, 2, cap_n=16).exists
-    assert check_star_factor(complete_graph(20), 2, cap_n=16).exists
-    with pytest.raises(CapExceeded):
-        check_star_factor(Graph(20), 2, cap_n=16)
+    for m in (1, 2):
+        assert check_star_factor(complete_graph(20), m, cap_n=16).exists
+        with pytest.raises(CapExceeded):
+            check_star_factor(Graph(20), m, cap_n=16)
     lower, upper = [1] * 10 + [2] * 10, [2] * 10 + [3] * 10
     assert check_gf_factor(complete_graph(20), lower, upper, cap_n=16).exists
     with pytest.raises(CapExceeded):
@@ -152,6 +151,9 @@ def test_flow_refusal_without_violation_is_a_route_disagreement(monkeypatch):
         check_ab_factor(cycle_graph(4), 1, 2)
     with pytest.raises(RuntimeError, match="disagree"):
         check_star_factor(cycle_graph(4), 2)
+    monkeypatch.setattr(factors, "k_factor", lambda g, k: None)
+    with pytest.raises(RuntimeError, match="disagree"):
+        check_star_factor(cycle_graph(4), 1)
     monkeypatch.setattr(factors, "gf_factor_exists", lambda g, lower, upper: False)
     with pytest.raises(RuntimeError, match="disagree"):
         check_gf_factor(cycle_graph(4), [1, 0, 1, 2], [2, 1, 2, 2])
@@ -328,12 +330,39 @@ def test_find_ab_factor_nonexistence_carries_criterion_certificate():
     assert cert.violation == check_ab_factor(path_graph(4), 2, 3).violation
 
 
-def test_find_ab_factor_budget_is_distinct_from_nonexistence():
-    # only a = b searches; a < b is built from the flow and takes no budget
-    g = complete_graph(8)
-    with pytest.raises(SearchBudgetExceeded):
-        find_ab_factor(g, 3, 3, budget=2)
-    assert find_ab_factor(g, 3, 4, budget=2).exists
+# the Petersen graph, and a cubic graph on 16 vertices whose bridge
+# separates two odd sides, so it has no perfect matching and so no 2-factor
+PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+BRIDGED_CUBIC = parse_graph6("OiK{?CA?WBo??@?@??W?F")
+
+
+@pytest.mark.parametrize(
+    "g, k, exists",
+    [
+        (complete_graph(9), 3, False),
+        (complete_graph(11), 3, False),
+        (complete_graph(13), 5, False),
+        (PETERSEN, 1, True),
+        (PETERSEN, 2, True),
+        (PETERSEN, 3, True),
+        (BRIDGED_CUBIC, 1, False),
+        (BRIDGED_CUBIC, 2, False),
+        (BRIDGED_CUBIC, 3, True),
+    ],
+    ids=["K9-3", "K11-3", "K13-5", "Petersen-1", "Petersen-2", "Petersen-3",
+         "bridged-1", "bridged-2", "bridged-3"],
+)
+def test_k_factor_pinned_cases(g, k, exists):
+    # an odd n with odd k has no k-factor at all, which no degree count
+    # short of parity sees; blossom matching decides it at once
+    cert = find_ab_factor(g, k, k)
+    assert cert.exists == exists
+    if exists:
+        assert cert.verify(g, k, k)
+    else:
+        assert cert.violation is None
 
 
 def test_verify_rejects_a_repeated_edge():
@@ -389,20 +418,29 @@ def test_oracle_triangle_small(n, ab):
     for g in all_graphs(n):
         expected = brute_force_factor(g, a, b)
         assert check_ab_factor(g, a, b).exists == expected
-        assert (_search_factor(g, a, b, DEFAULT_SEARCH_BUDGET) is not None) == expected
         found = find_ab_factor(g, a, b)
         assert found.exists == expected
         if found.exists:
             assert found.verify(g, a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_oracle_triangle_random_k_factor(seed):
-    # a = b exercises the exhaustive branch of the finder
-    g = generate_random(6, Fraction(1, 2), seed)
-    for k in (1, 2):
-        assert find_ab_factor(g, k, k).exists == brute_force_factor(g, k, k)
+@st.composite
+def graph_upto_8_and_k(draw):
+    n = draw(st.integers(0, 8))
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    return Graph(n, edges), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_upto_8_and_k())
+def test_oracle_triangle_random_k_factor(case):
+    # a = b is decided by blossom matching, on G itself for k = 1 and on
+    # Tutte's gadget for k >= 2
+    g, k = case
+    cert = find_ab_factor(g, k, k)
+    assert cert.exists == brute_force_factor(g, k, k, max_edges=28)
+    if cert.exists:
+        assert cert.verify(g, k, k)
 
 
 # -- the T versus T' identity -----------------------------------------------------
