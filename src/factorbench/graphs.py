@@ -24,18 +24,18 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    ``adj[v]`` is the neighbourhood of ``v`` as a bitmask; ``edges`` is the
-    sorted tuple of (u, v) pairs with u < v.  No self-loops, no parallel
-    edges, adjacency symmetric by construction.
+    ``adj[v]`` is the neighbourhood of ``v`` as a bitmask.  ``edges``, the
+    sorted tuple of (u, v) pairs with u < v, is built from the masks on
+    first access and cached.  No self-loops, no parallel edges, adjacency
+    symmetric by construction.
     """
 
-    __slots__ = ("n", "adj", "edges")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         masks = [0] * n
-        clean = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -47,37 +47,48 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-            clean.append((u, v))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(masks))
-        object.__setattr__(self, "edges", tuple(sorted(clean)))
+        object.__setattr__(self, "_edges", None)
 
     @classmethod
     def _from_adj(cls, n: int, masks: Sequence[int]) -> "Graph":
         """Trusted constructor for masks that are already symmetric,
-        loop-free and inside ``range(n)``; the sorted ``edges`` tuple is
-        read off the bits above each vertex."""
-        edges = []
-        for u in range(n):
-            m = masks[u] >> (u + 1)
-            while m:
-                bit = m & -m
-                m ^= bit
-                edges.append((u, u + bit.bit_length()))
+        loop-free and inside ``range(n)``."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", tuple(masks))
-        object.__setattr__(g, "edges", tuple(edges))
+        object.__setattr__(g, "_edges", None)
         return g
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The sorted (u, v) pairs with u < v, read off the bits above each
+        vertex on first access."""
+        edges = self._edges
+        if edges is None:
+            found = []
+            for u, mask in enumerate(self.adj):
+                m = mask >> (u + 1)
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    found.append((u, u + bit.bit_length()))
+            edges = tuple(found)
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name):  # pragma: no cover - guard only
         raise AttributeError("Graph is immutable")
 
     # -- basic measurements -------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self.adj) // 2
 
     @property
     def full_mask(self) -> int:
@@ -123,14 +134,10 @@ class Graph:
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -159,6 +166,7 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 _GRAPH6_PAYLOAD_BYTES = bytes(range(63, 127))
 _GRAPH6_BITS = {byte: format(byte - 63, "06b") for byte in _GRAPH6_PAYLOAD_BYTES}
+_GRAPH6_CHARS = {bits: chr(byte) for byte, bits in _GRAPH6_BITS.items()}
 
 
 def parse_graph6(line: str) -> Graph:
@@ -214,21 +222,16 @@ def emit_graph6(g: Graph) -> str:
         raise ValueError(
             f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, got {g.n}"
         )
-    out = [g.n + 63]
-    acc = 0
-    width = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            width += 1
-            if width == 6:
-                out.append(acc + 63)
-                acc = 0
-                width = 0
-    if width:
-        out.append((acc << (6 - width)) + 63)
-    return bytes(out).decode("ascii")
+    n = g.n
+    # pair k = j(j-1)/2 + i is bit k of one int, as in parse_graph6
+    x = 0
+    for j in range(1, n):
+        x |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    nbits = n * (n - 1) // 2
+    # x's binary read backwards, its leading 1 sentinel dropped, is the
+    # bit sequence x(0,1) x(0,2) x(1,2) ...; zeros pad it to whole groups
+    bits = format(x | 1 << nbits, "b")[:0:-1] + "0" * (-nbits % 6)
+    return chr(n + 63) + "".join([_GRAPH6_CHARS[bits[i:i + 6]] for i in range(0, nbits, 6)])
 
 
 # -- generators --------------------------------------------------------------
@@ -275,10 +278,23 @@ def generate_random(n: int, p, seed: int) -> Graph:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    getrandbits = random.Random(seed).getrandbits
     num, den = p.numerator, p.denominator
-    edges = [e for e in combinations(range(n), 2) if rng.randrange(den) < num]
-    return Graph(n, edges)
+    k = den.bit_length()
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            # randrange(den) inlined: the same rejection loop draws the same
+            # words of the stream, so every (n, p, seed) keeps its graph
+            r = getrandbits(k)
+            while r >= den:
+                r = getrandbits(k)
+            if r < num:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return Graph._from_adj(n, masks)
 
 
 # -- the extremal family showing the vertex-deletion bound is best possible --
@@ -331,13 +347,17 @@ def build_extremal_H(m: int, a: int, b: int, n: int) -> ExtremalWitness:
     small = tuple(range(s_small))
     row = tuple(range(s_small, s_small + s_row))
     large = tuple(range(s_small + s_row, order))
-    edges = list(combinations(small, 2))
-    edges += list(combinations(large, 2))
-    edges += [(w, v) for w in small for v in row]
     # pendant matching: v_i in the row to u_i = the i-th large-clique vertex
     pendants = tuple((large[i], row[i]) for i in range(s_row))
-    edges += [(u, v) for u, v in pendants]
-    g = Graph(order, edges)
+    small_mask = (1 << s_small) - 1
+    row_mask = (1 << (s_small + s_row)) - 1 - small_mask
+    large_mask = (1 << order) - 1 - small_mask - row_mask
+    masks = [(small_mask ^ 1 << w) | row_mask for w in small]
+    masks += [small_mask | 1 << u for u, _ in pendants]
+    masks += [large_mask ^ 1 << u for u in large]
+    for u, v in pendants:
+        masks[u] |= 1 << v
+    g = Graph._from_adj(order, masks)
     return ExtremalWitness(g, small, row, large, pendants, (m, a, b, n))
 
 

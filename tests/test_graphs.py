@@ -1,6 +1,7 @@
 """Graph core: construction invariants, graph6 round-trips, generators,
 the extremal family, deletions, and isolated-vertex counting."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -60,8 +61,45 @@ def test_graph_adjacency_is_symmetric_and_degree_consistent():
 
 def test_graph_is_immutable():
     g = Graph(2, [(0, 1)])
-    with pytest.raises(AttributeError):
-        g.n = 5
+    for name in ("n", "adj", "_edges", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.n, g.adj, g.edges) == (2, (2, 1), ((0, 1),))
+
+
+# -- the edge tuple, built on first access -----------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(max_n=12), st.randoms(use_true_random=False))
+def test_trusted_and_validating_constructors_agree(g, rnd):
+    trusted = Graph._from_adj(g.n, g.adj)
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
+    rnd.shuffle(shuffled)
+    checked = Graph(g.n, shuffled)
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked)
+    assert trusted.edges == checked.edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(max_n=12))
+def test_edge_tuple_is_cached_and_sorted(g):
+    edges = g.edges
+    assert g.edges is edges
+    assert list(edges) == sorted(edges)
+    assert {(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)} == set(edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(max_n=12))
+def test_edge_count_does_not_build_the_edge_tuple(g):
+    fresh = Graph._from_adj(g.n, g.adj)
+    count = fresh.edge_count
+    assert fresh._edges is None
+    assert count == len(fresh.edges) == sum(fresh.degrees()) // 2
 
 
 # -- graph6 -------------------------------------------------------------------
@@ -121,6 +159,36 @@ def test_parse_graph6_rejects_nonzero_padding():
 def test_emit_graph6_rejects_oversize():
     with pytest.raises(ValueError):
         emit_graph6(Graph(63))
+
+
+def _bitwise_emit_graph6(g):
+    """Reference encoder: the bit-by-bit loop over the upper triangle,
+    column by column, six bits to a byte."""
+    out = [g.n + 63]
+    acc = 0
+    width = 0
+    for j in range(1, g.n):
+        col = g.adj[j]
+        for i in range(j):
+            acc = acc << 1 | (col >> i & 1)
+            width += 1
+            if width == 6:
+                out.append(acc + 63)
+                acc = 0
+                width = 0
+    if width:
+        out.append((acc << (6 - width)) + 63)
+    return bytes(out).decode("ascii")
+
+
+@pytest.mark.parametrize("n", range(63))
+def test_graph6_emit_matches_the_bitwise_reference(n):
+    # n = 0 and 1 have no payload bits; n = 2 and every empty graph have
+    # only zero bits; the rest end on every pad width 0..5
+    graphs = [Graph(n), complete_graph(n), star_graph(n - 1) if n else Graph(0)]
+    graphs += [generate_random(n, Fraction(k, 5), 1000 * n + k) for k in (1, 2, 3, 4)]
+    for g in graphs:
+        assert emit_graph6(g) == _bitwise_emit_graph6(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,8 +336,39 @@ def test_generate_random_extremes_and_determinism():
 
 
 def test_generate_random_validates_p():
-    with pytest.raises(ValueError):
-        generate_random(4, Fraction(3, 2), 0)
+    for p in (Fraction(3, 2), Fraction(-1, 2), 2, -1):
+        with pytest.raises(ValueError, match="probability"):
+            generate_random(4, p, 0)
+
+
+def test_generate_random_validates_n():
+    for p in (0, Fraction(1, 2), 1):
+        with pytest.raises(ValueError, match="nonnegative"):
+            generate_random(-1, p, 0)
+    assert generate_random(0, Fraction(1, 2), 0) == Graph(0)
+
+
+def _randrange_generate_random(n, p, seed):
+    """Reference G(n, p): one ``randrange(den)`` per pair in
+    ``combinations`` order, through the validating constructor."""
+    rng = random.Random(seed)
+    p = Fraction(p)
+    edges = [e for e in combinations(range(n), 2) if rng.randrange(p.denominator) < p.numerator]
+    return Graph(n, edges)
+
+
+@st.composite
+def probabilities(draw):
+    den = draw(st.integers(1, 20))
+    return Fraction(draw(st.integers(0, den)), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30), probabilities(), st.integers(0, 2**64))
+def test_generate_random_matches_the_randrange_reference(n, p, seed):
+    g = generate_random(n, p, seed)
+    ref = _randrange_generate_random(n, p, seed)
+    assert (g.n, g.adj, g.edges) == (ref.n, ref.adj, ref.edges)
 
 
 # -- extremal family ----------------------------------------------------------
@@ -319,6 +418,30 @@ def test_extremal_h_a1_has_empty_small_clique():
     assert w.clique_small == ()
     for v in w.isolated_row:
         assert w.graph.degree(v) == 1  # pendant edge only
+
+
+def _edge_list_extremal_H(m, a, b, n):
+    """Reference H(m, a, b, n) from its edge list: both cliques, the join
+    of the small clique to the row, and the pendant matching."""
+    s_small, s_row = m * (a - 1), m * b + 1
+    order = s_small + s_row + s_row * (a - 1 + n)
+    small = range(s_small)
+    row = range(s_small, s_small + s_row)
+    large = range(s_small + s_row, order)
+    edges = list(combinations(small, 2)) + list(combinations(large, 2))
+    edges += [(w, v) for w in small for v in row]
+    edges += [(large[i], row[i]) for i in range(s_row)]
+    return Graph(order, edges)
+
+
+@pytest.mark.parametrize("params", [
+    (m, a, b, n) for m in (1, 2, 3) for a, b in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+    for n in (1, 2)
+])
+def test_extremal_h_matches_the_edge_list_reference(params):
+    g = build_extremal_H(*params).graph
+    ref = _edge_list_extremal_H(*params)
+    assert (g.n, g.adj, g.edges) == (ref.n, ref.adj, ref.edges)
 
 
 def test_extremal_h_rejects_bad_params():
