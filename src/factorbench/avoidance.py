@@ -26,7 +26,6 @@ from .factors import (
     FactorCertificate,
     FactorViolation,
     _certify_refusal,
-    deficient_sets,
     delta,
     find_ab_factor,
     low_set,
@@ -602,60 +601,22 @@ def check_edge_avoiding(
     """Does G have an [a,b]-factor avoiding the fixed edge e?
 
     ``find_ab_factor`` decides G - e by the double-cover flow and
-    re-verifies the factor it builds.  A refusal is certified by the
-    criterion route: the first S (size-then-lexicographic) whose deficiency
-    in G falls below the penalty rho(S), reported with its deficiency in
-    G - e."""
+    re-verifies the factor it builds.  A refusal is certified by the first
+    violating S (size-then-lexicographic) of G - e.  Since
+    delta_{G-e}(S) = delta_G(S) - rho(S) for every S, that is the first S
+    whose deficiency in G falls below the penalty rho(S) of Lemma H."""
     u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
     params = {"a": a, "b": b, "edge": [u, v]}
     _check_params(params)  # before the edge test, which comes before the cap
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
     _gate(g, params, cap_n)
-    g_prime = delete_edges(g, [(u, v)])
-    if find_ab_factor(g_prime, a, b, cert_cap=0).exists:
+    cert = find_ab_factor(delete_edges(g, [(u, v)]), a, b, cert_cap=cap_n)
+    if cert.exists:
         return AvoidanceVerdict("LemmaH", params, (), True, None)
-    violation_s = _first_rho_violation(g, u, v, a, b)
-    if violation_s is None:
-        raise RuntimeError(
-            f"criterion and flow routes disagree for edge ({u}, {v}): the flow "
-            f"refuses an [{a},{b}]-factor but no S falls below rho"
-        )
-    # certificate in G - e at the failing S, where the plain criterion applies
-    t_prime = low_set(g_prime, violation_s, a)
-    d_prime = delta(g_prime, violation_s, a, b)
-    if d_prime >= 0:
-        raise RuntimeError(
-            f"S={violation_s} falls below rho in G but has deficiency "
-            f"{d_prime} >= 0 in G - e"
-        )
-    cert = FactorCertificate(
-        False, violation=FactorViolation(violation_s, t_prime, d_prime, 0)
-    )
     return AvoidanceVerdict(
         "LemmaH", params, (), False, Counterexample(DeletionSpec.edge(u, v), cert)
     )
-
-
-def _first_rho_violation(
-    g: Graph, u: int, v: int, a: int, b: int
-) -> tuple[int, ...] | None:
-    """First S (size-then-lexicographic order) whose deficiency in G falls
-    below rho(S) for the edge uv, or None.  Since rho <= 2, only the S of
-    deficiency below 2 are read.  With u, v outside S their degrees in
-    (G-e)-S are their degrees in G-S minus one."""
-    adj = g.adj
-    uv = 1 << u | 1 << v
-    for s, keep, _, d in deficient_sets(g, DegreeBounds.uniform(a, b, g.n), bound=2):
-        penalty = 0
-        if keep & uv == uv:
-            # x in T' iff deg_{G-S}(x) - 1 <= a - 1
-            penalty = ((adj[u] & keep).bit_count() <= a) + (
-                (adj[v] & keep).bit_count() <= a
-            )
-        if d < penalty:
-            return s
-    return None
 
 
 # -- hierarchy and pair-deletion statements ----------------------------------------------

@@ -9,8 +9,8 @@ criterion, ``deficient_sets``, certifies refusals.  ``find_ab_factor``
 builds every explicit factor, star forests included: by rounding the flow
 for a < b, and by blossom matching (``matching``) for a = b.  This module
 also houses an exhaustive oracle kept independent of both routes and the
-maximal-independent-set / covering-set pair search used by the deficiency
-lower-bound arguments.
+maximal-independent-set / covering-set pairs of the deficiency
+lower-bound arguments, built by one greedy pass in class order.
 """
 
 from __future__ import annotations
@@ -63,10 +63,13 @@ class FactorCertificate:
 
     def verify(self, g: Graph, a: int, b: int) -> bool:
         """Re-check the certificate from scratch against ``g``.  A factor
-        must list distinct edges of ``g``, each once in either orientation."""
+        must list distinct edges of ``g``, each once in either orientation,
+        and S must name vertices of ``g``; anything else fails."""
         if self.exists and self.factor_edges is not None:
             nbrs = [0] * g.n  # factor neighbours of each vertex, as masks
             for u, v in self.factor_edges:
+                if not (0 <= u < g.n and 0 <= v < g.n):
+                    return False
                 if not g.has_edge(u, v) or nbrs[u] >> v & 1:
                     return False
                 nbrs[u] |= 1 << v
@@ -74,6 +77,8 @@ class FactorCertificate:
             return all(a <= x.bit_count() <= b for x in nbrs)
         if not self.exists and self.violation is not None:
             s, t, d, bound = self.violation
+            if not all(0 <= x < g.n for x in s):
+                return False
             return (
                 tuple(low_set(g, s, a)) == t
                 and delta(g, s, a, b) == d
@@ -505,14 +510,16 @@ def _peel_stars(g: Graph, factor_edges, m: int) -> StarForest:
 def find_katerinis_pair(
     h: Graph, partition: Sequence[Sequence[int]], a: int
 ) -> KaterinisPair:
-    """Search for a maximal independent set I and the covering set
-    C = V - I whose per-class counts satisfy
+    """A maximal independent set I and the covering set C = V - I whose
+    per-class counts satisfy
     sum_{j=1}^{a-1} (a-j) c_j <= sum_{j=1}^{a-1} j (a-j) i_j,
     for a vertex partition S_1..S_{a-1} with d(x) <= j on S_j.
 
-    Existence is guaranteed for every valid partition, so exhaustive
-    enumeration of maximal independent sets is a complete decision
-    procedure here; exhausting it without success signals a bug.
+    I is taken greedily, by class index and then by label: a vertex joins
+    unless a neighbour already has.  Why the bound holds: each x in C has
+    a neighbour y in I taken earlier, so j(y) <= j(x); y has at most j(y)
+    neighbours; so sum (a-j) c_j <= sum j (a-j) i_j.  A broken bound is
+    raised as a bug.
     """
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
@@ -534,43 +541,25 @@ def find_katerinis_pair(
     if missing:
         raise ValueError(f"vertex {missing[0]} is not covered by the partition")
 
-    full = h.full_mask
-    for k in range(h.n + 1):
-        for combo in combinations(range(h.n), k):
-            imask = 0
-            independent = True
-            for v in combo:
-                if h.adj[v] & imask:
-                    independent = False
-                    break
-                imask |= 1 << v
-            if not independent:
-                continue
-            outside = full & ~imask
-            maximal = True
-            rest = outside
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if not h.adj[bit.bit_length() - 1] & imask:
-                    maximal = False
-                    break
-            if not maximal:
-                continue
-            i_counts = [0] * (a - 1)
-            c_counts = [0] * (a - 1)
-            for v in range(h.n):
-                j = cls[v] - 1
-                if imask >> v & 1:
-                    i_counts[j] += 1
-                else:
-                    c_counts[j] += 1
-            lhs = sum((a - (j + 1)) * c_counts[j] for j in range(a - 1))
-            rhs = sum((j + 1) * (a - (j + 1)) * i_counts[j] for j in range(a - 1))
-            if lhs <= rhs:
-                cover = tuple(v for v in range(h.n) if not imask >> v & 1)
-                return KaterinisPair(combo, cover, tuple(i_counts), tuple(c_counts))
-    raise RuntimeError(
-        "no maximal independent set satisfies the covering bound; "
-        "this contradicts its guaranteed existence and indicates a bug"
+    imask = 0
+    for v in sorted(range(h.n), key=lambda v: (cls[v], v)):
+        if not h.adj[v] & imask:
+            imask |= 1 << v
+    i_counts = [0] * (a - 1)
+    c_counts = [0] * (a - 1)
+    for v in range(h.n):
+        counts = i_counts if imask >> v & 1 else c_counts
+        counts[cls[v] - 1] += 1
+    lhs = sum((a - j) * c for j, c in enumerate(c_counts, start=1))
+    rhs = sum(j * (a - j) * i for j, i in enumerate(i_counts, start=1))
+    if lhs > rhs:
+        raise RuntimeError(
+            f"the greedy independent set breaks the covering bound ({lhs} > {rhs}); "
+            "this contradicts its proof and indicates a bug"
+        )
+    return KaterinisPair(
+        tuple(v for v in range(h.n) if imask >> v & 1),
+        tuple(v for v in range(h.n) if not imask >> v & 1),
+        tuple(i_counts),
+        tuple(c_counts),
     )

@@ -139,6 +139,11 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the trusted constructor, since
+        # the default protocol would set the slots and hit __setattr__
+        return Graph._from_adj, (self.n, self.adj)
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 

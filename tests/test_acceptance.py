@@ -23,7 +23,6 @@ from factorbench import (
     isolated_count,
 )
 from factorbench.avoidance import (
-    _first_rho_violation,
     check_edge_avoiding,
     check_vertex_deletion_all,
 )
@@ -43,6 +42,7 @@ from factorbench.toughness import (
     isolated_toughness_bruteforce,
     threshold,
 )
+from oracles import first_rho_violation
 
 AB_PAIRS = [(1, 2), (1, 3), (2, 3)]
 
@@ -213,16 +213,16 @@ def test_criterion_6_edge_avoidance_equivalence(small_graphs):
             continue
         for e in g.edges:
             for a, b in [(2, 3), (1, 2)]:
-                # the check decides by flow on G-e, confirms by the
-                # constructive route and raises on any disagreement; it runs
-                # the deficiency-vs-penalty criterion only to certify a
-                # refusal, so Lemma H itself is checked here on every instance
+                # the check decides G-e by flow and certifies a refusal by
+                # the first violating S of G-e; Lemma H's deficiency-vs-penalty
+                # criterion in G, from the test-side oracle, must give the
+                # same verdict and the same S on every instance
                 verdict = check_edge_avoiding(g, e, a, b)
-                assert (
-                    _first_rho_violation(g, *e, a, b) is None
-                ) == verdict.conclusion_holds
+                rho_s = first_rho_violation(g, *e, a, b)
+                assert (rho_s is None) == verdict.conclusion_holds
                 if not verdict.conclusion_holds:
                     cert = verdict.counterexample.certificate.violation
+                    assert cert.s == rho_s
                     g_minus_e = delete_edges(g, [e])
                     assert delta(g_minus_e, cert.s, a, b) == cert.delta < 0
                 checked += 1
@@ -243,7 +243,7 @@ def test_criterion_7_katerinis_pairs(small_graphs):
             classes = [[] for _ in range(a - 1)]
             for v in range(g.n):
                 classes[max(g.degree(v), 1) - 1].append(v)
-            pair = find_katerinis_pair(g, classes, a)  # raises if exhausted
+            pair = find_katerinis_pair(g, classes, a)  # raises on a broken bound
             iset = set(pair.independent)
             assert not iset & set(pair.cover)
             assert iset | set(pair.cover) == set(range(g.n))
@@ -254,7 +254,7 @@ def test_criterion_7_katerinis_pairs(small_graphs):
             checked += 1
     print(
         f"\n[criterion 7] PASS covering pairs: {checked} degree-ceiling "
-        f"partitions, search never exhausted ({time.time() - t0:.1f}s)"
+        f"partitions, greedy bound never broken ({time.time() - t0:.1f}s)"
     )
 
 

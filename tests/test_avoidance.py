@@ -28,7 +28,6 @@ from factorbench import avoidance, cli, factors, matching
 from factorbench.avoidance import (
     Counterexample,
     Premise,
-    _first_rho_violation,
     check_edge_avoiding,
     check_edge_deletion_star,
     check_lemma_D1,
@@ -51,6 +50,7 @@ from factorbench.factors import (
     low_set,
 )
 from factorbench.toughness import threshold
+from oracles import first_rho_violation
 
 
 def all_graphs(n):
@@ -350,8 +350,12 @@ def test_edge_avoiding_agrees_with_direct_exhaustively():
                     Graph(g.n, [x for x in g.edges if x != e]), a, b
                 ).exists
                 assert verdict.conclusion_holds == direct
-                # Lemma H: the rho criterion agrees, also where the check skips it
-                assert (_first_rho_violation(g, *e, a, b) is None) == direct
+                # Lemma H: the rho criterion agrees, and a refusal is
+                # certified by its first violating S
+                rho_s = first_rho_violation(g, *e, a, b)
+                assert (rho_s is None) == direct
+                if not direct:
+                    assert verdict.counterexample.certificate.violation.s == rho_s
 
 
 def reference_rho_violation(g, e, a, b):
@@ -381,9 +385,24 @@ def graph_edge_and_bounds(draw):
 @example((cycle_graph(4), (0, 1), 2, 3))  # S = {} violates
 def test_fused_rho_scan_matches_delta_and_rho(case):
     g, (u, v), a, b = case
-    assert _first_rho_violation(g, u, v, a, b) == reference_rho_violation(
+    assert first_rho_violation(g, u, v, a, b) == reference_rho_violation(
         g, (u, v), a, b
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_edge_and_bounds())
+@example((cycle_graph(4), (0, 1), 2, 3))
+def test_deleting_an_edge_lowers_deficiency_by_rho(case):
+    # the identity behind Lemma H's certificate: the S below rho in G are
+    # exactly the S of negative deficiency in G - e
+    g, e, a, b = case
+    g_minus_e = Graph(g.n, [x for x in g.edges if x != e])
+    for k in range(g.n + 1):
+        for s in combinations(range(g.n), k):
+            assert delta(g_minus_e, s, a, b) == (
+                delta(g, s, a, b) - rho(g, e, s, a, b).value
+            )
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,7 +422,7 @@ def test_edge_avoiding_matches_oracle_and_reference_scan(case):
 
 def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
     monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: None)
-    with pytest.raises(RuntimeError, match="criterion and flow routes disagree"):
+    with pytest.raises(RuntimeError, match="routes disagree"):
         check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
 

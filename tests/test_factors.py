@@ -24,6 +24,7 @@ from factorbench import (
 from factorbench.factors import (
     DegreeBounds,
     FactorCertificate,
+    FactorViolation,
     Star,
     _peel_stars,
     brute_force_factor,
@@ -372,6 +373,18 @@ def test_verify_rejects_a_repeated_edge():
     assert not find_ab_factor(k2, 2, 2).exists
 
 
+@pytest.mark.parametrize("edge", [(9, 0), (0, 9), (-1, 0), (0, -1), (4, 4)])
+def test_verify_rejects_a_factor_edge_outside_the_graph(edge):
+    cert = FactorCertificate(True, factor_edges=((0, 1), (2, 3), edge))
+    assert not cert.verify(complete_graph(4), 1, 3)
+
+
+@pytest.mark.parametrize("s", [(-1,), (9,), (0, 4)])
+def test_verify_rejects_a_set_outside_the_graph(s):
+    cert = FactorCertificate(False, violation=FactorViolation(s, (), -1, 0))
+    assert not cert.verify(complete_graph(4), 2, 3)
+
+
 @st.composite
 def small_graph_and_ab_with_equal(draw):
     n = draw(st.integers(0, 8))
@@ -390,14 +403,23 @@ def test_built_factors_verify_and_tampered_ones_do_not(case, data):
     edges = cert.factor_edges
     assert cert.verify(g, a, b)
     if edges:
-        u, v = data.draw(st.sampled_from(edges))
+        i = data.draw(st.integers(0, len(edges) - 1))
+        u, v = edges[i]
         for repeat in ((u, v), (v, u)):
             tampered = FactorCertificate(True, factor_edges=edges + (repeat,))
             assert not tampered.verify(g, a, b)
+        # dropping uv fails exactly when an end sits at the lower bound a
+        deg = [sum(x in e for e in edges) for x in (u, v)]
+        dropped = FactorCertificate(True, factor_edges=edges[:i] + edges[i + 1:])
+        assert dropped.verify(g, a, b) == (min(deg) > a)
     non_edges = [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)]
     if non_edges:
         extra = data.draw(st.sampled_from(non_edges))
         assert not FactorCertificate(True, factor_edges=edges + (extra,)).verify(g, a, b)
+    x = data.draw(st.sampled_from([-1, g.n, g.n + 5]))
+    y = data.draw(st.integers(0, max(g.n - 1, 0)))
+    outside = data.draw(st.sampled_from([(x, y), (y, x)]))
+    assert not FactorCertificate(True, factor_edges=edges + (outside,)).verify(g, a, b)
 
 
 def test_brute_force_edge_cap():
@@ -603,6 +625,45 @@ def test_katerinis_pair_exhaustive_small():
                 pair = find_katerinis_pair(g, classes, a)
                 assert set(pair.independent) | set(pair.cover) == set(range(g.n))
                 assert not set(pair.independent) & set(pair.cover)
+
+
+@st.composite
+def graph_and_degree_ceiling_partition(draw):
+    """A graph of maximum degree at most a - 1 on up to 30 vertices, and a
+    random partition S_1..S_{a-1} with max(d(v), 1) <= j <= a - 1 on S_j."""
+    a = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 30))
+    pairs = list(combinations(range(n), 2))
+    deg = [0] * n
+    edges = []
+    candidates = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for u, v in candidates:
+        if deg[u] < a - 1 and deg[v] < a - 1:
+            deg[u] += 1
+            deg[v] += 1
+            edges.append((u, v))
+    classes = [[] for _ in range(a - 1)]
+    for v in range(n):
+        classes[draw(st.integers(max(deg[v], 1), a - 1)) - 1].append(v)
+    return Graph(n, edges), classes, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_degree_ceiling_partition())
+def test_katerinis_pair_greedy_on_larger_graphs(case):
+    g, classes, a = case
+    pair = find_katerinis_pair(g, classes, a)
+    iset = set(pair.independent)
+    assert sorted(pair.independent + pair.cover) == list(range(g.n))
+    assert not any(set(g.neighbors(u)) & iset for u in iset)  # independent
+    assert all(set(g.neighbors(u)) & iset for u in pair.cover)  # maximal
+    cls = {v: j for j, part in enumerate(classes, start=1) for v in part}
+    for j in range(1, a):
+        assert pair.i_counts[j - 1] == sum(cls[v] == j for v in iset)
+        assert pair.c_counts[j - 1] == sum(cls[v] == j for v in pair.cover)
+    lhs = sum((a - j) * c for j, c in enumerate(pair.c_counts, start=1))
+    rhs = sum(j * (a - j) * i for j, i in enumerate(pair.i_counts, start=1))
+    assert lhs <= rhs
 
 
 # -- certificate serialisation ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Graph core: construction invariants, graph6 round-trips, generators,
 the extremal family, deletions, and isolated-vertex counting."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -67,6 +69,20 @@ def test_graph_is_immutable():
         with pytest.raises(AttributeError):
             delattr(g, name)
     assert (g.n, g.adj, g.edges) == (2, (2, 1), ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_graph_copies_equal_and_stay_immutable(clone):
+    g = cycle_graph(5)
+    h = clone(g)
+    assert h == g and hash(h) == hash(g)
+    assert h.edges == g.edges
+    with pytest.raises(AttributeError, match="immutable"):
+        h.n = 3
 
 
 # -- the edge tuple, built on first access -----------------------------------
