@@ -5,10 +5,12 @@ premises (minimum degree, isolated-toughness bound, parameter ranges) are
 recorded one by one, the conclusion is verified by exhaustive enumeration
 of the deleted objects, and any failure is returned as a re-verifiable
 certificate.  Each deleted graph is decided by the double-cover flow, and
-a refusal is certified by its first violating set.  A factor the flow
-builds is re-verified, and wherever an independent criterion route
-exists alongside the direct route, the two must agree; a disagreement is
-a bug, not a verdict.
+a refusal is certified by the S of that flow's least minimum cut, whose
+deficiency is re-checked; no subset is enumerated for it, so only the
+statements that scan subsets (A in full mode, D1) take ``cap_n``.  A
+factor the flow builds is re-verified, and wherever an independent
+criterion route exists alongside the direct route, the two must agree; a
+disagreement is a bug, not a verdict.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .factors import (
     low_set,
     scan_deficiency,
 )
-from .flow import ab_factor_exists
+from .flow import min_cut_set
 from .graphs import (
     DeletionSpec, DeletionResult, ExtremalWitness, Graph, build_extremal_H, delete, delete_edges,
 )
@@ -189,13 +191,14 @@ class Theorem:
     ``check`` names the check function of this module.  It is looked up
     when ``run`` is called, so a replaced module attribute is the one
     that runs.  ``params`` are its positional parameters after the graph
-    and ``limits`` the caps it takes by keyword.  ``premises`` gives the
-    recorded hypotheses for ``theorem_premises``.  ``axes`` is the
-    campaign grid, empty for a statement the campaign does not run: the
-    config field ``<tag>_<axis>`` lists the values, ``ab`` gives a and b
-    together, and ``k`` may be the symbolic ``b``.  ``in_grid`` drops
-    cells whose parameters no graph can satisfy.  ``mode`` is the
-    ``avoid --mode`` that runs the statement, if any.
+    and ``limits`` the caps it takes by keyword, ``cap_n`` only where
+    subsets are scanned.  ``premises`` gives the recorded hypotheses for
+    ``theorem_premises``.  ``axes`` is the campaign grid, empty for a
+    statement the campaign does not run: the config field
+    ``<tag>_<axis>`` lists the values, ``ab`` gives a and b together, and
+    ``k`` may be the symbolic ``b``.  ``in_grid`` drops cells whose
+    parameters no graph can satisfy.  ``mode`` is the ``avoid --mode``
+    that runs the statement, if any.
     """
 
     tag: str
@@ -214,23 +217,23 @@ class Theorem:
         )
 
 
-_CAPS = ("cap_n", "cap_deletions")
+_DELETIONS = ("cap_deletions",)
 
 THEOREMS = {
     t.tag: t
     for t in (
-        Theorem("A", "check_vertex_deletion_all", ("a", "b", "n"), _CAPS,
+        Theorem("A", "check_vertex_deletion_all", ("a", "b", "n"), ("cap_n", "cap_deletions"),
                 _degree_and_toughness("A"), ("ab", "n"), mode="vertices"),
-        Theorem("B", "check_edge_deletion_star", ("m", "n"), _CAPS,
+        Theorem("B", "check_edge_deletion_star", ("m", "n"), _DELETIONS,
                 _star_premises, ("m", "n"), lambda p: 2 * p["n"] <= p["m"], mode="edges"),
-        Theorem("C", "check_matching_deletion", ("a", "b", "n"), _CAPS,
+        Theorem("C", "check_matching_deletion", ("a", "b", "n"), _DELETIONS,
                 _degree_and_toughness("C"), ("ab", "n"), mode="matching"),
-        Theorem("D", "check_theorem_D", ("a", "b", "n"), _CAPS,
+        Theorem("D", "check_theorem_D", ("a", "b", "n"), _DELETIONS,
                 lambda g, *, a, n, **_: (_min_degree_premise(g, a + n),), ("ab", "n")),
-        Theorem("E", "check_theorem_E", ("a", "b"), _CAPS, _pair_premises, ("ab",)),
+        Theorem("E", "check_theorem_E", ("a", "b"), _DELETIONS, _pair_premises, ("ab",)),
         Theorem("D1", "check_lemma_D1", ("a", "b", "n", "k"), ("cap_n",),
                 _degree_and_toughness("D1"), ("ab", "n", "k")),
-        Theorem("LemmaH", "check_edge_avoiding", ("edge", "a", "b"), ("cap_n",),
+        Theorem("LemmaH", "check_edge_avoiding", ("edge", "a", "b"), (),
                 lambda g, **_: (), mode="edge"),
     )
 }
@@ -285,17 +288,18 @@ def _check_params(params: dict) -> None:
 
 
 def _gate(
-    g: Graph, params: dict, cap_n: int, deletions: Callable[[], int | Iterable] = lambda: 0,
-    cap_deletions: int = 0, what: str = "deletions",
+    g: Graph, params: dict, deletions: Callable[[], int | Iterable] = lambda: 0,
+    cap_deletions: int = 0, what: str = "deletions", cap_n: int | None = None,
 ) -> list | None:
     """The one range and cap check of every statement, run before any
     premise or deletion work: ``params`` first, then the order of ``g``
-    against ``cap_n``, then the deleted objects against ``cap_deletions``.
+    against ``cap_n`` where subsets are scanned, then the deleted objects
+    against ``cap_deletions``.
     ``deletions()`` is called only once the parameters are in range.  It
     returns their number, or a lazy iterable of them, which is drawn at
     most ``cap_deletions + 1`` times; the drawn list is then returned."""
     _check_params(params)
-    if g.n > cap_n:
+    if cap_n is not None and g.n > cap_n:
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
     count = deletions()
     drawn = None
@@ -317,10 +321,11 @@ def _lift_violation(v: FactorViolation, labels: Sequence[int]) -> FactorViolatio
     )
 
 
-def _refusal_cert(g_del: Graph, labels, a: int, b: int, cap_n: int) -> FactorCertificate:
-    """Certificate for a deleted graph without an [a,b]-factor: its first
-    violating S, lifted to original labels."""
-    violation = _certify_refusal(g_del, DegreeBounds.uniform(a, b, g_del.n), cap_n)
+def _refusal_cert(g_del: Graph, labels, a: int, b: int, s) -> FactorCertificate:
+    """Certificate for a deleted graph without an [a,b]-factor: the
+    violation at the S of its least minimum cut, lifted to original
+    labels."""
+    violation = _certify_refusal(g_del, DegreeBounds.uniform(a, b, g_del.n), s)
     return FactorCertificate(False, violation=_lift_violation(violation, labels))
 
 
@@ -330,26 +335,28 @@ def _vertex_deletions(g: Graph, size: int) -> Iterable[DeletionSpec]:
 
 def _first_refusal(
     g: Graph, specs: Iterable[DeletionSpec], a: int, b: int
-) -> tuple[DeletionSpec, DeletionResult] | None:
+) -> tuple[DeletionSpec, DeletionResult, tuple[int, ...]] | None:
     """The first deletion, in the order given, whose deleted graph the
-    double-cover flow refuses an [a,b]-factor, or None."""
+    double-cover flow refuses an [a,b]-factor, with that graph and the S
+    of the refusing flow's least minimum cut, or None."""
     for spec in specs:
         res = delete(g, spec)
-        if not ab_factor_exists(res.graph, a, b):
-            return spec, res
+        n = res.graph.n
+        s = min_cut_set(res.graph, (a,) * n, (b,) * n)
+        if s is not None:
+            return spec, res, s
     return None
 
 
 def _first_counterexample(
-    g: Graph, specs: Iterable[DeletionSpec], a: int, b: int, cap_n: int
+    g: Graph, specs: Iterable[DeletionSpec], a: int, b: int
 ) -> Counterexample | None:
-    """``_first_refusal``, certified by the first violating S of the
-    refused deleted graph."""
+    """``_first_refusal``, certified by the S of the refusing flow."""
     refusal = _first_refusal(g, specs, a, b)
     if refusal is None:
         return None
-    spec, res = refusal
-    return Counterexample(spec, _refusal_cert(res.graph, res.original_labels, a, b, cap_n))
+    spec, res, s = refusal
+    return Counterexample(spec, _refusal_cert(res.graph, res.original_labels, a, b, s))
 
 
 # -- vertex deletion -------------------------------------------------------------
@@ -380,16 +387,17 @@ def check_vertex_deletion_all(
     deleted graph, which refute existence without a global scan.  Each
     chosen deletion is also decided by the double-cover flow, which must
     refuse wherever a witness violates; a refusal no witness explains is
-    certified by the deficiency scan when G - V' fits ``cap_n``.
+    certified by the S of the flow's least minimum cut.  ``cap_n`` bounds
+    only the criterion scan of the default mode.
     """
     params = {"a": a, "b": b, "n": n}
     if deletions is None:
-        _gate(g, params, cap_n, lambda: comb(g.n, n), cap_deletions)
+        _gate(g, params, lambda: comb(g.n, n), cap_deletions, cap_n=cap_n)
         decide = partial(_vertex_deletion_full, g, a, b, n, cap_n)
     else:
         _check_params(params)
         specs, witness_sets = _targeted_inputs(g, n, deletions, witnesses)
-        decide = partial(_vertex_deletion_targeted, g, a, b, specs, witness_sets, cap_n)
+        decide = partial(_vertex_deletion_targeted, g, a, b, specs, witness_sets)
     premises = theorem_premises("A", g, a=a, b=b, n=n)
     conclusion, counterexample, witnesses_out = decide()
     return AvoidanceVerdict(
@@ -398,7 +406,7 @@ def check_vertex_deletion_all(
 
 
 def _vertex_deletion_full(g, a, b, n, cap_n):
-    direct_failure = _first_counterexample(g, _vertex_deletions(g, n), a, b, cap_n)
+    direct_failure = _first_counterexample(g, _vertex_deletions(g, n), a, b)
     violation = scan_deficiency(g, a, b, bound=b * n, min_size=n, cap_n=cap_n)
     if (direct_failure is None) != (violation is None):
         raise RuntimeError(
@@ -429,7 +437,7 @@ def _targeted_inputs(g, n, deletions, witnesses):
     return specs, witness_sets
 
 
-def _vertex_deletion_targeted(g, a, b, specs, witness_sets, cap_n):
+def _vertex_deletion_targeted(g, a, b, specs, witness_sets):
     for spec in specs:
         res = delete(g, spec)
         index = {old: new for new, old in enumerate(res.original_labels)}
@@ -446,16 +454,13 @@ def _vertex_deletion_targeted(g, a, b, specs, witness_sets, cap_n):
                     ),
                 )
                 break
-        exists = ab_factor_exists(res.graph, a, b)
+        s = min_cut_set(res.graph, (a,) * res.graph.n, (b,) * res.graph.n)
         if refuted is None:
-            if not exists:
-                cert = (
-                    _refusal_cert(res.graph, res.original_labels, a, b, cap_n)
-                    if res.graph.n <= cap_n
-                    else FactorCertificate(False)
+            if s is not None:
+                refuted = Counterexample(
+                    spec, _refusal_cert(res.graph, res.original_labels, a, b, s)
                 )
-                refuted = Counterexample(spec, cert)
-        elif exists:
+        elif s is None:
             raise RuntimeError(
                 "witness claims a violation but the flow decision finds a factor"
             )
@@ -465,7 +470,7 @@ def _vertex_deletion_targeted(g, a, b, specs, witness_sets, cap_n):
 
 
 def extremal_sharpness(
-    m: int, a: int, b: int, n: int, *, cap_n: int = DEFAULT_CAP_N
+    m: int, a: int, b: int, n: int
 ) -> tuple[ExtremalWitness, Fraction, AvoidanceVerdict]:
     """The sharpness construction for A: H(m,a,b,n), the toughness
     threshold of A at (a, b, n), and targeted A on H's default deletion V0
@@ -475,7 +480,6 @@ def extremal_sharpness(
         w.graph, a, b, n,
         deletions=[w.default_v0()],
         witnesses=[w.clique_small],
-        cap_n=cap_n,
     )
     return w, threshold("A", a=a, b=b, n=n), verdict
 
@@ -488,19 +492,18 @@ def check_edge_deletion_star(
     m: int,
     n: int,
     *,
-    cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
 ) -> AvoidanceVerdict:
     """Does G - E' have a spanning star forest with star sizes 1..m for
     every n-subset E' of edges?  The statement is proved for
     1 <= n <= m/2, so m >= 2 and the forest is a [1,m]-factor: each
     G - E' is decided by the double-cover flow in the shared refusal
-    loop, and a refusal carries its first violating S."""
+    loop, and a refusal carries the S of the refusing flow."""
     params = {"m": m, "n": n}
-    _gate(g, params, cap_n, lambda: comb(g.edge_count, n), cap_deletions)
+    _gate(g, params, lambda: comb(g.edge_count, n), cap_deletions)
     premises = theorem_premises("B", g, m=m, n=n)
     specs = map(DeletionSpec.edges, combinations(g.edges, n))
-    counterexample = _first_counterexample(g, specs, 1, m, cap_n)
+    counterexample = _first_counterexample(g, specs, 1, m)
     return AvoidanceVerdict(
         "B", params, premises, counterexample is None, counterexample
     )
@@ -543,20 +546,15 @@ def check_matching_deletion(
     b: int,
     n: int,
     *,
-    cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
 ) -> AvoidanceVerdict:
     """Does G - M have an [a,b]-factor for every n-matching M?  The
     matchings are drawn lazily, so a family beyond ``cap_deletions`` is
     refused after ``cap_deletions + 1`` of them."""
     params = {"a": a, "b": b, "n": n}
-    matchings = _gate(
-        g, params, cap_n, partial(_matchings, g, n), cap_deletions, "matchings"
-    )
+    matchings = _gate(g, params, partial(_matchings, g, n), cap_deletions, "matchings")
     premises = theorem_premises("C", g, a=a, b=b, n=n)
-    counterexample = _first_counterexample(
-        g, map(DeletionSpec.matching, matchings), a, b, cap_n
-    )
+    counterexample = _first_counterexample(g, map(DeletionSpec.matching, matchings), a, b)
     return AvoidanceVerdict(
         "C", params, premises, counterexample is None, counterexample
     )
@@ -595,23 +593,20 @@ def check_edge_avoiding(
     e: tuple[int, int],
     a: int,
     b: int,
-    *,
-    cap_n: int = DEFAULT_CAP_N,
 ) -> AvoidanceVerdict:
     """Does G have an [a,b]-factor avoiding the fixed edge e?
 
     ``find_ab_factor`` decides G - e by the double-cover flow and
-    re-verifies the factor it builds.  A refusal is certified by the first
-    violating S (size-then-lexicographic) of G - e.  Since
-    delta_{G-e}(S) = delta_G(S) - rho(S) for every S, that is the first S
-    whose deficiency in G falls below the penalty rho(S) of Lemma H."""
+    re-verifies the factor it builds.  A refusal is certified by the S of
+    the flow's least minimum cut in G - e.  Since
+    delta_{G-e}(S) = delta_G(S) - rho(S) for every S, the deficiency of
+    that S in G falls below the penalty rho(S) of Lemma H."""
     u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
     params = {"a": a, "b": b, "edge": [u, v]}
-    _check_params(params)  # before the edge test, which comes before the cap
+    _check_params(params)  # before the edge test
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    _gate(g, params, cap_n)
-    cert = find_ab_factor(delete_edges(g, [(u, v)]), a, b, cert_cap=cap_n)
+    cert = find_ab_factor(delete_edges(g, [(u, v)]), a, b)
     if cert.exists:
         return AvoidanceVerdict("LemmaH", params, (), True, None)
     return AvoidanceVerdict(
@@ -628,14 +623,13 @@ def check_theorem_D(
     b: int,
     n: int,
     *,
-    cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
 ) -> AvoidanceVerdict:
     """If every n-subset deletion leaves an [a,b]-factor, so does every
     (n-1)-subset deletion.  The antecedent is recorded as a premise, so a
     false antecedent reports as vacuous."""
     params = {"a": a, "b": b, "n": n}
-    _gate(g, params, cap_n, lambda: comb(g.n, n) + comb(g.n, n - 1), cap_deletions)
+    _gate(g, params, lambda: comb(g.n, n) + comb(g.n, n - 1), cap_deletions)
     premises = list(theorem_premises("D", g, a=a, b=b, n=n))
     # the antecedent is only recorded, so its refusal needs no certificate
     antecedent_fail = _first_refusal(g, _vertex_deletions(g, n), a, b)
@@ -651,7 +645,7 @@ def check_theorem_D(
                 f"G - {list(antecedent_fail[0].members)} admits no [{a},{b}]-factor",
             )
         )
-    consequent_fail = _first_counterexample(g, _vertex_deletions(g, n - 1), a, b, cap_n)
+    consequent_fail = _first_counterexample(g, _vertex_deletions(g, n - 1), a, b)
     return AvoidanceVerdict(
         "D",
         params,
@@ -666,7 +660,6 @@ def check_theorem_E(
     a: int,
     b: int,
     *,
-    cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
 ) -> AvoidanceVerdict:
     """If the minimum degree reaches a+2 and G minus any vertex pair still
@@ -674,10 +667,10 @@ def check_theorem_E(
     pair deletions of the premise must fit ``cap_deletions``; the |E| <=
     C(n,2) edge deletions of the conclusion then fit as well."""
     params = {"a": a, "b": b}
-    _gate(g, params, cap_n, lambda: comb(g.n, 2), cap_deletions)
+    _gate(g, params, lambda: comb(g.n, 2), cap_deletions)
     premises = theorem_premises("E", g, a=a, b=b)
     counterexample = _first_counterexample(
-        g, (DeletionSpec.edge(*e) for e in g.edges), a, b, cap_n
+        g, (DeletionSpec.edge(*e) for e in g.edges), a, b
     )
     return AvoidanceVerdict(
         "E", params, premises, counterexample is None, counterexample
@@ -696,7 +689,7 @@ def check_lemma_D1(
     """Under the stated degree and toughness premises, the deficiency of
     every S with nonempty low-degree set reaches k*n."""
     params = {"a": a, "b": b, "n": n, "k": k}
-    _gate(g, params, cap_n)
+    _gate(g, params, cap_n=cap_n)
     premises = theorem_premises("D1", g, a=a, b=b, n=n, k=k)
     violation = scan_deficiency(
         g, a, b, bound=k * n, min_size=0, require_t=True, cap_n=cap_n

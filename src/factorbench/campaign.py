@@ -244,11 +244,11 @@ def _parse_value(f, key: str, text: str):
 # -- evaluation -----------------------------------------------------------------
 
 
-def _premises_hold(cell: Cell, g, cap_n: int, cap_deletions: int) -> bool:
-    """Rejection-sampling filter.  An E draw beyond the caps skips the
-    C(n,2) pair deletions and is kept on its minimum degree alone; its
+def _premises_hold(cell: Cell, g, cap_deletions: int) -> bool:
+    """Rejection-sampling filter.  An E draw beyond the deletion cap skips
+    the C(n,2) pair deletions and is kept on its minimum degree alone; its
     evaluation then reports it capped, before any premise work."""
-    with_pairs = g.n <= cap_n and comb(g.n, 2) <= cap_deletions
+    with_pairs = comb(g.n, 2) <= cap_deletions
     prem = theorem_premises(cell.theorem, g, with_pair_deletions=with_pairs, **cell.params)
     return all(p.holds for p in prem)
 
@@ -283,9 +283,9 @@ def _evaluate_instance(payload: dict) -> dict:
     return row
 
 
-def _evaluate_extremal(index: int, quad, cap_n: int) -> dict:
+def _evaluate_extremal(index: int, quad) -> dict:
     m, a, b, n = quad
-    w, thr, verdict = extremal_sharpness(m, a, b, n, cap_n=cap_n)
+    w, thr, verdict = extremal_sharpness(m, a, b, n)
     row = {
         "index": index,
         "theorem": "A",
@@ -377,7 +377,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                 break
             draws += 1
             g = generate_random(ng, p, seed)
-            if not _premises_hold(cell, g, config.cap_n, config.cap_deletions):
+            if not _premises_hold(cell, g, config.cap_deletions):
                 rejected += 1
                 continue
             kept += 1
@@ -415,7 +415,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         rows = [_evaluate_instance(p) for p in pending]
 
     for quad in config.extremal:
-        rows.append(_evaluate_extremal(index, quad, config.cap_n))
+        rows.append(_evaluate_extremal(index, quad))
         index += 1
 
     rows.sort(key=lambda r: r["index"])

@@ -6,8 +6,9 @@ output is JSON (certificates, verdicts, reports) plus CSV summaries.
 
 Exit codes: 0 = positive verdict / verified, 1 = negative verdict or
 counterexample, 2 = usage, parse, or config error, 3 = enumeration cap
-exceeded.  FACTORBENCH_CAP_N and FACTORBENCH_CAP_DELETIONS set the
-default enumeration caps.
+exceeded: a deletion family over ``--cap-deletions``, or the subset scan
+of ``avoid --mode vertices`` over ``--cap-n``.  FACTORBENCH_CAP_N and
+FACTORBENCH_CAP_DELETIONS set the default enumeration caps.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def cmd_toughness(args) -> int:
 def cmd_factor(args) -> int:
     g = _first_graph(args.input)
     if args.a < args.b and not args.find:
-        cert = check_ab_factor(g, args.a, args.b, cap_n=args.cap_n)
+        cert = check_ab_factor(g, args.a, args.b)
     else:
-        cert = find_ab_factor(g, args.a, args.b, cert_cap=args.cap_n)
+        cert = find_ab_factor(g, args.a, args.b)
     payload = cert.to_json_dict()
     if args.find and cert.exists and args.a == 1:
         payload["stars"] = _peel_stars(g, cert.factor_edges, args.b).to_json_dict()
@@ -118,7 +119,7 @@ def cmd_extremal(args) -> int:
             f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, "
             f"H({args.m},{args.a},{args.b},{args.n}) has {order}"
         )
-    w, thr, verdict = extremal_sharpness(args.m, args.a, args.b, args.n, cap_n=args.cap_n)
+    w, thr, verdict = extremal_sharpness(args.m, args.a, args.b, args.n)
     refutation = verdict.counterexample
     cert = refutation.certificate.violation if refutation is not None else None
     payload = {
@@ -163,9 +164,6 @@ def cmd_campaign(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cap_n_default = _env_int("FACTORBENCH_CAP_N", DEFAULT_CAP_N)
-    cap_del_default = _env_int("FACTORBENCH_CAP_DELETIONS", DEFAULT_CAP_DELETIONS)
-
     parser = argparse.ArgumentParser(
         prog="factorbench",
         description="Exact graph-factor workbench: toughness, factor criteria, "
@@ -173,17 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    caps = {
-        "--cap-n": dict(type=int, default=cap_n_default,
-                        help="max vertices for subset enumeration"),
-        "--cap-deletions": dict(type=int, default=cap_del_default,
-                                help="max enumerated deletions per instance"),
-    }
-
-    def add_caps(p, *flags):
-        for flag in flags:
-            p.add_argument(flag, **caps[flag])
 
     p = sub.add_parser("toughness", help="exact isolated toughness, one graph6 line each")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")
@@ -194,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--find", action="store_true", help="construct an explicit factor")
-    add_caps(p, "--cap-n")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("avoid", help="deletion-avoiding factor checks")
@@ -206,7 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="star size bound (edges mode)")
     p.add_argument("--n", type=int, help="number of deleted objects")
     p.add_argument("--edge", help="single edge as 'u,v' (edge mode)")
-    add_caps(p, "--cap-n", "--cap-deletions")
+    p.add_argument("--cap-n", type=int, default=_env_int("FACTORBENCH_CAP_N", DEFAULT_CAP_N),
+                   help="max vertices for the subset scan (vertices mode)")
+    p.add_argument("--cap-deletions", type=int,
+                   default=_env_int("FACTORBENCH_CAP_DELETIONS", DEFAULT_CAP_DELETIONS),
+                   help="max enumerated deletions per instance")
     p.set_defaults(func=cmd_avoid)
 
     p = sub.add_parser("extremal", help="sharpness construction demo")
@@ -214,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_caps(p, "--cap-n")
     # the flag stays accepted because bench/test_smoke.py passes it
     p.add_argument("--budget", type=int, help="ignored: nothing searches")
     p.set_defaults(func=cmd_extremal)

@@ -4,11 +4,16 @@ The deficiency f(S) + sum_{x in T} (d_{G-S}(x) - g(x)), with T the
 vertices x of G-S of degree below g(x), decides (g,f)-factor existence
 (g < f, or a bipartite graph) and, as b|S| - a|T| + d_{G-S}(T), [a,b]-factor
 existence (a < b): the factor exists iff it is nonnegative for every S.
-Max-flow (``flow``) decides existence, and the one subset scan of the
-criterion, ``deficient_sets``, certifies refusals.  ``find_ab_factor``
-builds every explicit factor, star forests included: by rounding the flow
-for a < b, and by blossom matching (``matching``) for a = b.  This module
-also houses an exhaustive oracle kept independent of both routes and the
+Max-flow (``flow``) decides existence, and a refusal is certified by the S
+of its least minimum cut, whose deficiency is re-checked here.  A perfect
+matching (m = 1 stars) is refused with the Tutte set of the failed blossom
+search (``matching``), whose odd components are recounted here.
+``find_ab_factor`` builds every explicit factor, star forests included: by
+rounding the flow for a < b, and by blossom matching for a = b, whose
+refusal carries no certificate.  The one subset scan of the criterion,
+``deficient_sets``, serves only as an oracle: A's cross-check and the pure
+scan statement D1 reach it through ``scan_deficiency``.  This module also
+houses an exhaustive oracle kept independent of every route and the
 maximal-independent-set / covering-set pairs of the deficiency
 lower-bound arguments, built by one greedy pass in class order.
 """
@@ -20,9 +25,9 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
-from .flow import ab_factor, ab_factor_exists, gf_factor_exists
-from .graphs import Graph, vertex_mask
-from .matching import k_factor
+from .flow import ab_factor, min_cut_set
+from .graphs import Graph, _bits, vertex_mask
+from .matching import k_factor, perfect_matching
 
 DEFAULT_SCAN_CAP = 16
 DEFAULT_EDGE_CAP = 25
@@ -45,7 +50,7 @@ class FactorViolation(NamedTuple):
 class FactorCertificate:
     """Either an explicit factor (edge subset meeting the degree bounds at
     every vertex) or a violating set.  A bare negative verdict (both fields
-    None) only arises where no single-set certificate exists, e.g. a = b."""
+    None) arises only for a = b, whose criterion has a parity term."""
 
     exists: bool
     factor_edges: tuple[tuple[int, int], ...] | None = None
@@ -64,7 +69,8 @@ class FactorCertificate:
     def verify(self, g: Graph, a: int, b: int) -> bool:
         """Re-check the certificate from scratch against ``g``.  A factor
         must list distinct edges of ``g``, each once in either orientation,
-        and S must name vertices of ``g``; anything else fails."""
+        and S must name vertices of ``g``; anything else fails, and so does
+        a bare negative for a < b."""
         if self.exists and self.factor_edges is not None:
             nbrs = [0] * g.n  # factor neighbours of each vertex, as masks
             for u, v in self.factor_edges:
@@ -79,12 +85,9 @@ class FactorCertificate:
             s, t, d, bound = self.violation
             if not all(0 <= x < g.n for x in s):
                 return False
-            return (
-                tuple(low_set(g, s, a)) == t
-                and delta(g, s, a, b) == d
-                and d < bound
-            )
-        return True
+            tmask, value = _deficiency(g, DegreeBounds.uniform(a, b, g.n), s)
+            return tuple(_bits(tmask)) == t and value == d < bound
+        return self.exists or a == b
 
 
 class Star(NamedTuple):
@@ -182,33 +185,34 @@ def _as_vector(fun, n: int) -> tuple[int, ...]:
 # -- deficiency ------------------------------------------------------------------
 
 
-def low_set(g: Graph, s: Sequence[int], a: int) -> tuple[int, ...]:
-    """T = the vertices of G-S whose degree in G-S is at most a-1."""
+def _deficiency(g: Graph, bounds: DegreeBounds, s: Sequence[int]) -> tuple[int, int]:
+    """T as a mask and the deficiency f(S) + sum_{x in T} (d_{G-S}(x) - g(x))
+    at one S, with T the vertices x of G-S of degree below g(x)."""
     smask = vertex_mask(s)
     if smask & ~g.full_mask:
         raise ValueError("S contains vertices outside the graph")
     keep = g.full_mask & ~smask
-    return tuple(
-        v for v in range(g.n)
-        if keep >> v & 1 and (g.adj[v] & keep).bit_count() <= a - 1
-    )
+    tmask = 0
+    value = 0
+    for v in range(g.n):
+        if smask >> v & 1:
+            value += bounds.upper[v]
+            continue
+        gap = (g.adj[v] & keep).bit_count() - bounds.lower[v]  # d_{G-S}(v) - g(v)
+        if gap < 0:
+            tmask |= 1 << v
+            value += gap
+    return tmask, value
+
+
+def low_set(g: Graph, s: Sequence[int], a: int) -> tuple[int, ...]:
+    """T = the vertices of G-S whose degree in G-S is at most a-1."""
+    return tuple(_bits(_deficiency(g, DegreeBounds.uniform(a, a, g.n), s)[0]))
 
 
 def delta(g: Graph, s: Sequence[int], a: int, b: int) -> int:
     """b|S| - a|T| + d_{G-S}(T) with T = low_set(g, s, a)."""
-    smask = vertex_mask(s)
-    if smask & ~g.full_mask:
-        raise ValueError("S contains vertices outside the graph")
-    keep = g.full_mask & ~smask
-    tcount = 0
-    dsum = 0
-    for v in range(g.n):
-        if keep >> v & 1:
-            dv = (g.adj[v] & keep).bit_count()
-            if dv <= a - 1:
-                tcount += 1
-                dsum += dv
-    return b * smask.bit_count() - a * tcount + dsum
+    return _deficiency(g, DegreeBounds.uniform(a, b, g.n), s)[1]
 
 
 def deficient_sets(
@@ -262,31 +266,29 @@ def scan_deficiency(
     bounds = DegreeBounds.uniform(a, b, g.n)
     for s, _, tmask, d in deficient_sets(g, bounds, bound=bound, min_size=min_size):
         if tmask or not require_t:
-            t = tuple(v for v in range(g.n) if tmask >> v & 1)
-            return FactorViolation(s, t, d, bound)
+            return FactorViolation(s, tuple(_bits(tmask)), d, bound)
     return None
 
 
 # -- existence criteria ------------------------------------------------------------
 
 
-def check_ab_factor(g: Graph, a: int, b: int, *, cap_n: int = DEFAULT_SCAN_CAP) -> FactorCertificate:
+def check_ab_factor(g: Graph, a: int, b: int) -> FactorCertificate:
     """[a,b]-factor existence (a < b), decided by the double-cover flow.
-    No subgraph is constructed.  A refusal is certified by the deficiency
-    scan, which returns the first S (size-then-lexicographic) of negative
-    deficiency; ``cap_n`` bounds only that scan."""
+    No subgraph is constructed.  A refusal is certified by the S of the
+    flow's least minimum cut."""
     _check_ab(a, b, strict=True)
-    return _decided(g, DegreeBounds.uniform(a, b, g.n), ab_factor_exists(g, a, b), cap_n)
+    return _decided(g, DegreeBounds.uniform(a, b, g.n))
 
 
-def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> FactorCertificate:
+def check_gf_factor(g: Graph, gfun, ffun) -> FactorCertificate:
     """(g, f)-factor existence: for every S, g(T) - d_{G-S}(T) <= f(S)
     with T = the vertices x of G-S of degree below g(x).
 
     The criterion is valid when g(x) < f(x) for every vertex or when the
     graph is bipartite; anything else is refused.  There the double-cover
-    flow with per-vertex bounds decides, as ``check_ab_factor`` does, and
-    ``cap_n`` bounds only the scan that certifies a refusal.
+    flow with per-vertex bounds decides and certifies, as
+    ``check_ab_factor`` does.
     """
     bounds = DegreeBounds.per_vertex(gfun, ffun, g.n)
     bounds.validate()
@@ -294,29 +296,29 @@ def check_gf_factor(g: Graph, gfun, ffun, *, cap_n: int = DEFAULT_SCAN_CAP) -> F
         raise ValueError(
             "criterion requires g(x) < f(x) for every vertex, or a bipartite graph"
         )
-    return _decided(g, bounds, gf_factor_exists(g, bounds.lower, bounds.upper), cap_n)
+    return _decided(g, bounds)
 
 
-def _decided(g: Graph, bounds: DegreeBounds, exists: bool, cap_n: int) -> FactorCertificate:
-    """The flow's verdict as a certificate; a refusal carries its first
-    violating S."""
-    if exists:
+def _decided(g: Graph, bounds: DegreeBounds) -> FactorCertificate:
+    """The flow's verdict as a certificate; a refusal carries the S of the
+    least minimum cut."""
+    s = min_cut_set(g, bounds.lower, bounds.upper)
+    if s is None:
         return FactorCertificate(exists=True)
-    return FactorCertificate(exists=False, violation=_certify_refusal(g, bounds, cap_n))
+    return FactorCertificate(exists=False, violation=_certify_refusal(g, bounds, s))
 
 
-def _certify_refusal(g: Graph, bounds: DegreeBounds, cap_n: int) -> FactorViolation:
-    """First violating S for a graph the flow refused.  Finding none
-    means the flow and the criterion disagree, which is a bug, not a
-    verdict."""
-    if g.n > cap_n:
-        raise CapExceeded(f"deficiency scan capped at {cap_n} vertices, got {g.n}")
-    for s, _, tmask, d in deficient_sets(g, bounds):
-        return FactorViolation(s, tuple(v for v in range(g.n) if tmask >> v & 1), d, 0)
-    raise RuntimeError(
-        "refusal and deficiency routes disagree: the factor was refused "
-        "but no S has negative deficiency"
-    )
+def _certify_refusal(g: Graph, bounds: DegreeBounds, s: Sequence[int]) -> FactorViolation:
+    """The violation at the S of the route that refused ``g``.  A
+    deficiency >= 0 there means the refusal and the criterion disagree,
+    which is a bug, not a verdict."""
+    tmask, d = _deficiency(g, bounds, s)
+    if d >= 0:
+        raise RuntimeError(
+            "refusal and deficiency routes disagree: the factor was refused "
+            f"but S = {list(s)} has deficiency {d} >= 0"
+        )
+    return FactorViolation(tuple(s), tuple(_bits(tmask)), d, 0)
 
 
 def _check_ab(a: int, b: int, *, strict: bool) -> None:
@@ -331,27 +333,23 @@ def _check_ab(a: int, b: int, *, strict: bool) -> None:
 # -- constructive finder -------------------------------------------------------------
 
 
-def find_ab_factor(
-    g: Graph, a: int, b: int, *, cert_cap: int = DEFAULT_SCAN_CAP
-) -> FactorCertificate:
+def find_ab_factor(g: Graph, a: int, b: int) -> FactorCertificate:
     """An explicit [a,b]-factor (a = b allowed), re-verified, or a refusal.
 
     For a < b the factor is rounded from the double-cover flow
-    (``flow.ab_factor``); a refusal on at most ``cert_cap`` vertices
-    carries the first violating S of the deficiency scan.  For a = b the
-    criterion has a parity term, and blossom matching decides
-    (``matching.k_factor``); a refusal carries no certificate.  A factor
-    that fails ``FactorCertificate.verify`` is raised as a bug.
+    (``flow.ab_factor``), and a refusal carries the S of the flow's least
+    minimum cut.  For a = b the criterion has a parity term, and blossom
+    matching decides (``matching.k_factor``); a refusal carries no
+    certificate.  A factor that fails ``FactorCertificate.verify`` is
+    raised as a bug.
     """
     _check_ab(a, b, strict=False)
     if a == 0 or g.n == 0:
         return FactorCertificate(exists=True, factor_edges=())
-    edges = ab_factor(g, a, b) if a < b else k_factor(g, a)
+    edges, s = ab_factor(g, a, b) if a < b else (k_factor(g, a), None)
     if edges is None:
-        if a < b and g.n <= cert_cap:
-            violation = _certify_refusal(g, DegreeBounds.uniform(a, b, g.n), cert_cap)
-            return FactorCertificate(exists=False, violation=violation)
-        return FactorCertificate(exists=False)
+        violation = None if a == b else _certify_refusal(g, DegreeBounds.uniform(a, b, g.n), s)
+        return FactorCertificate(exists=False, violation=violation)
     cert = FactorCertificate(exists=True, factor_edges=edges)
     if not cert.verify(g, a, b):
         raise RuntimeError(f"the built [{a},{b}]-factor fails verification: {edges}")
@@ -410,36 +408,39 @@ def brute_force_factor(g: Graph, a: int, b: int, *, max_edges: int = DEFAULT_EDG
 # -- star factors -----------------------------------------------------------------
 
 
-def check_star_factor(g: Graph, m: int, *, cap_n: int = DEFAULT_SCAN_CAP) -> StarCheck:
+def check_star_factor(g: Graph, m: int) -> StarCheck:
     """Spanning-star-forest existence (components K_{1,1}..K_{1,m}).
 
     For m >= 2 this is a [1,m]-factor, decided by the double-cover flow.
-    A refusal is certified by the isolated-vertex criterion, i(G-S) <= m|S|
-    for every S (the [1,m] deficiency with d_{G-S}(T) = 0); ``cap_n``
-    bounds only that scan.  Single-edge stars (m = 1) are perfect
-    matchings, decided by blossom matching.  There counting isolated
-    vertices is not enough (a triangle passes but has none), so a refusal
-    is certified by the first S, in size-then-lexicographic order, with
-    more than |S| odd components of G-S; ``cap_n`` bounds that scan.
+    A refusal is certified by the S of the flow's least minimum cut, which
+    breaks the isolated-vertex criterion i(G-S) <= m|S| (the [1,m]
+    deficiency with d_{G-S}(T) = 0).  Single-edge stars (m = 1) are
+    perfect matchings, decided by blossom matching.  There counting
+    isolated vertices is not enough (a triangle passes but has none), so a
+    refusal is certified by the Tutte set of the failed blossom search,
+    whose more than |S| odd components of G-S are recounted here.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if ab_factor_exists(g, 1, m) if m >= 2 else k_factor(g, 1) is not None:
-        return StarCheck(exists=True, m=m)
     if m >= 2:
-        violation = _certify_refusal(g, DegreeBounds.uniform(1, m, g.n), cap_n)
+        cert = _decided(g, DegreeBounds.uniform(1, m, g.n))
+        violation = cert.violation
+        if violation is None:
+            return StarCheck(exists=True, m=m)
         return StarCheck(
             exists=False, m=m, witness=violation.s, isolated=len(violation.t),
             violation=violation,
         )
-    if g.n > cap_n:
-        raise CapExceeded(f"star-factor scan capped at {cap_n} vertices, got {g.n}")
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            odd = _odd_components(g.adj, g.full_mask & ~vertex_mask(combo))
-            if odd > k:
-                return StarCheck(exists=False, m=1, witness=combo, odd_components=odd)
-    raise RuntimeError("matching and odd-component routes disagree on a refusal")
+    mate, s = perfect_matching([g.neighbors(v) for v in range(g.n)])
+    if mate is not None:
+        return StarCheck(exists=True, m=1)
+    odd = _odd_components(g.adj, g.full_mask & ~vertex_mask(s))
+    if odd <= len(s):
+        raise RuntimeError(
+            f"matching and odd-component routes disagree on a refusal: "
+            f"G - {list(s)} has {odd} odd components"
+        )
+    return StarCheck(exists=False, m=1, witness=s, odd_components=odd)
 
 
 def _odd_components(adj: Sequence[int], keep: int) -> int:
@@ -468,7 +469,7 @@ def find_star_factor(g: Graph, m: int) -> StarForest | None:
     star forest, or None when no such factor exists."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    cert = find_ab_factor(g, 1, m, cert_cap=0)
+    cert = find_ab_factor(g, 1, m)
     return _peel_stars(g, cert.factor_edges, m) if cert.exists else None
 
 

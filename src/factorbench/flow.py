@@ -1,5 +1,6 @@
 """Polynomial (g,f)-factor decision by max-flow on the bipartite double cover,
-and [a,b]-factor construction (a < b) by rounding that flow.
+[a,b]-factor construction (a < b) by rounding that flow, and the
+certificate of a refusal read off the flow's last search.
 
 For g < f the criterion f(S) + sum_{x in T} (d_{G-S}(x) - g(x)) >= 0 carries
 no odd-component term (Lovasz 1970), and the same inequality characterises
@@ -9,8 +10,29 @@ an edge u'v'' for each ordered adjacent pair -- has a subgraph with every
 degree in [g, f]: such a subgraph F gives the fractional factor
 h(uv) = (F(u'v'') + F(v'u'')) / 2, and conversely the bipartite flow
 polytope is integral.  So for g < f a (g,f)-factor exists iff the
-lower-bounded flow below is feasible, and so for g <= f on a bipartite
-graph, whose double cover is two copies of G.  Everything is integral.
+lower-bounded flow of ``_solve`` is feasible, and so for g <= f on a
+bipartite graph, whose double cover is two copies of G.  Everything is
+integral.
+
+When the flow falls short of g(V), the S of a refusal is
+S = {v : v'' is reached by the last search}, and its deficiency is
+negative:
+
+1. The reached set R is the least source side of a minimum cut.  The
+   mirror map swaps u' with u'' and the super-source with the super-sink,
+   keeps the hub, and reverses every arc; it maps the network onto itself,
+   and the cut (R, R-bar) onto a cut of equal capacity whose source side
+   is mirror(R-bar).  So R is a subset of mirror(R-bar), and R holds
+   neither the hub nor both copies of any vertex.
+2. Let X = {u : u' in R}; then X and S are disjoint.  For u in X every
+   arc u'->v'' with v outside S is saturated and the arc hub->u' carries
+   nothing, so d_{G-S}(u) <= F-deg(u') = flow(source->u') <= g(u).  Each
+   v in S receives f(v), and all of it comes from X'.
+3. Summing, f(S) + sum_{u in X} (d_{G-S}(u) - g(u)) = flow value - g(V)
+   < 0, and replacing X by the low set T of S only lowers the sum.
+
+The least minimum cut is unique, so S does not depend on which maximum
+flow the search found.
 """
 
 from __future__ import annotations
@@ -22,18 +44,23 @@ from .graphs import Graph
 
 def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
     """Exact [a,b]-factor existence for 0 <= a < b in polynomial time."""
-    return _solve(g, *_uniform_bounds(g.n, a, b)) is not None
+    return _solve(g, *_uniform_bounds(g.n, a, b))[1] is None
 
 
-def gf_factor_exists(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> bool:
-    """Exact (g,f)-factor existence in polynomial time, for bounds with
-    0 <= lower < upper everywhere, or 0 <= lower <= upper on a bipartite G."""
-    return _solve(g, lower, upper) is not None
+def min_cut_set(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> tuple[int, ...] | None:
+    """None when a (g,f)-factor exists, else the S of the least minimum
+    cut, whose deficiency is negative (see the module docstring).  Exact
+    in polynomial time for bounds with 0 <= lower < upper everywhere, or
+    0 <= lower <= upper on a bipartite G.  S may be empty, so test the
+    result against None."""
+    return _solve(g, lower, upper)[1]
 
 
-def ab_factor(g: Graph, a: int, b: int) -> tuple[tuple[int, int], ...] | None:
-    """An explicit [a,b]-factor for 0 <= a < b, as its sorted edge list, or
-    None when none exists.
+def ab_factor(
+    g: Graph, a: int, b: int
+) -> tuple[tuple[tuple[int, int], ...], None] | tuple[None, tuple[int, ...]]:
+    """An explicit [a,b]-factor for 0 <= a < b, as (its sorted edge list,
+    None), or (None, the S of ``min_cut_set``) when none exists.
 
     The flow's double-cover subgraph F gives each edge the value
     x(uv) = (F(u'v'') + F(v'u'')) / 2 in {0, 1/2, 1}, and the x-degree of
@@ -49,9 +76,9 @@ def ab_factor(g: Graph, a: int, b: int) -> tuple[tuple[int, int], ...] | None:
     left (Lovasz 1970; Anstee 1985).
     """
     n = g.n
-    cap = _solve(g, *_uniform_bounds(n, a, b))
+    cap, s = _solve(g, *_uniform_bounds(n, a, b))
     if cap is None:
-        return None
+        return None, s
     out_f = [0] * n  # the v with F(u'v'') = 1
     in_f = [0] * n  # the v with F(v'u'') = 1
     k = 0
@@ -83,7 +110,7 @@ def ab_factor(g: Graph, a: int, b: int) -> tuple[tuple[int, int], ...] | None:
     for u in range(n):
         while half[u]:
             walk(u, factor[u].bit_count() + half[u].bit_count() // 2 < b)
-    return tuple((u, v) for u, v in g.edges if factor[u] >> v & 1)
+    return tuple((u, v) for u, v in g.edges if factor[u] >> v & 1), None
 
 
 def _uniform_bounds(n: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -92,9 +119,12 @@ def _uniform_bounds(n: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int,
     return (a,) * n, (b,) * n
 
 
-def _solve(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> list[int] | None:
-    """Residual capacities of a flow meeting every lower bound, or None
-    when none does.
+def _solve(
+    g: Graph, lower: Sequence[int], upper: Sequence[int]
+) -> tuple[list[int], None] | tuple[None, tuple[int, ...]]:
+    """(Residual capacities of a flow meeting every lower bound, None), or
+    (None, S) when none does, with S the vertices v whose v'' the last
+    search reached.
 
     The flow runs s -> u' with bounds [g(u), f(u)], u' -> v'' with capacity
     1 for each ordered adjacent pair, and v'' -> t with bounds [g(v), f(v)].
@@ -141,7 +171,7 @@ def _solve(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> list[int] | 
                 flow += 1
             arc(u, n + v, 1, used)
     if flow == total:
-        return cap
+        return cap, None
     for u in range(n):
         lo, slack = lower[u], upper[u] - lower[u]
         arc(source, u, lo, lo - need[u])
@@ -163,7 +193,7 @@ def _solve(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> list[int] | 
                     level[y] = nxt
                     queue.append(y)
         if level[sink] < 0:
-            return None
+            return None, tuple(v for v in range(n) if level[n + v] >= 0)
         it = [0] * nodes
         path: list[int] = []
         x = source
@@ -175,7 +205,7 @@ def _solve(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> list[int] | 
                     cap[e ^ 1] += push
                 flow += push
                 if flow == total:
-                    return cap
+                    return cap, None
                 path.clear()
                 x = source
                 continue

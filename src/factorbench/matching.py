@@ -1,5 +1,6 @@
-"""Perfect matchings by Edmonds' blossom algorithm (1965), and k-factors as
-perfect matchings of Tutte's gadget (1954)."""
+"""Perfect matchings by Edmonds' blossom algorithm (1965), with a Tutte set
+certifying a refusal, and k-factors as perfect matchings of Tutte's gadget
+(1954)."""
 
 from __future__ import annotations
 
@@ -10,9 +11,12 @@ from .graphs import Graph
 _ODD, _EVEN = 1, 2
 
 
-def perfect_matching(nbrs: Sequence[Sequence[int]], mate: list | None = None) -> list | None:
+def perfect_matching(
+    nbrs: Sequence[Sequence[int]], mate: list | None = None
+) -> tuple[list, tuple[()]] | tuple[None, tuple[int, ...]]:
     """A perfect matching of the graph with neighbour lists ``nbrs``, as
-    ``mate`` (``mate[v]`` is v's partner), or None when there is none.
+    (``mate``, ()) with ``mate[v]`` v's partner, or (None, S) when there is
+    none, with S a Tutte set: G - S has more than |S| odd components.
 
     ``mate`` may hold a matching M to extend in place, -1 marking an
     exposed vertex.  Each exposed vertex in turn roots one search, which
@@ -23,17 +27,27 @@ def perfect_matching(nbrs: Sequence[Sequence[int]], mate: list | None = None) ->
     component would be a path from r alternating between P and M.  Its far
     end w has one edge there, so any M-edge of w is w's P-edge too and lies
     outside M xor P: w is exposed in M, and the path augments M from r.
+
+    S is the set of odd-labelled vertices of r's failed search.  Every
+    neighbour of an even vertex is labelled, and two even neighbours share
+    a blossom, so each blossom is an odd component of G - S: one for the
+    root and one for each vertex of S.
     """
     if mate is None:
         mate = [-1] * len(nbrs)
     for root in range(len(nbrs)):
-        if mate[root] < 0 and not _augment(nbrs, mate, root):
-            return None
-    return mate
+        if mate[root] < 0:
+            barrier = _augment(nbrs, mate, root)
+            if barrier is not None:
+                return None, barrier
+    return mate, ()
 
 
-def _augment(nbrs: Sequence[Sequence[int]], mate: list[int], root: int) -> bool:
-    """Flip an augmenting path from the exposed ``root``, if there is one."""
+def _augment(
+    nbrs: Sequence[Sequence[int]], mate: list[int], root: int
+) -> tuple[int, ...] | None:
+    """Flip an augmenting path from the exposed ``root`` and return None,
+    or return the odd-labelled vertices when there is no such path."""
     n = len(nbrs)
     base = list(range(n))  # union-find: find(v) is the base of v's blossom
     label = [0] * n
@@ -72,7 +86,7 @@ def _augment(nbrs: Sequence[Sequence[int]], mate: list[int], root: int) -> bool:
                     while y >= 0:
                         x = pred[y]
                         mate[y], mate[x], y = x, y, mate[x]
-                    return True
+                    return None
                 label[mate[y]] = _EVEN
                 queue.append(mate[y])
             elif label[y] == _EVEN and find(x) != find(y):
@@ -86,7 +100,7 @@ def _augment(nbrs: Sequence[Sequence[int]], mate: list[int], root: int) -> bool:
                     u = find(pred[mate[u]])
                 shrink(x, y, u)
                 shrink(y, x, u)
-    return False
+    return tuple(v for v in range(n) if label[v] == _ODD)
 
 
 def k_factor(g: Graph, k: int) -> tuple[tuple[int, int], ...] | None:
@@ -102,7 +116,7 @@ def k_factor(g: Graph, k: int) -> tuple[tuple[int, int], ...] | None:
     """
     edges = g.edges
     if k == 1:
-        mate = perfect_matching([g.neighbors(v) for v in range(g.n)])
+        mate = perfect_matching([g.neighbors(v) for v in range(g.n)])[0]
         return None if mate is None else tuple((u, v) for u, v in edges if mate[u] == v)
     core = 2 * len(edges)  # ports 2i and 2i + 1 are the ends of edge i; cores follow
     ports: list[list[int]] = [[] for _ in range(g.n)]
@@ -124,6 +138,6 @@ def k_factor(g: Graph, k: int) -> tuple[tuple[int, int], ...] | None:
                 mate[p] = core + k * x + used[x]
                 mate[mate[p]] = p
                 used[x] += 1
-    if perfect_matching(nbrs, mate) is None:
+    if perfect_matching(nbrs, mate)[0] is None:
         return None
     return tuple(e for i, e in enumerate(edges) if mate[2 * i] != 2 * i + 1)

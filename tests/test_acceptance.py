@@ -25,6 +25,7 @@ from factorbench import (
 from factorbench.avoidance import (
     check_edge_avoiding,
     check_vertex_deletion_all,
+    rho,
 )
 from factorbench.campaign import CampaignConfig, run_campaign
 from factorbench.factors import (
@@ -214,15 +215,16 @@ def test_criterion_6_edge_avoidance_equivalence(small_graphs):
         for e in g.edges:
             for a, b in [(2, 3), (1, 2)]:
                 # the check decides G-e by flow and certifies a refusal by
-                # the first violating S of G-e; Lemma H's deficiency-vs-penalty
-                # criterion in G, from the test-side oracle, must give the
-                # same verdict and the same S on every instance
+                # the S of the flow's least minimum cut; Lemma H's
+                # deficiency-vs-penalty criterion in G, from the test-side
+                # oracle, must give the same verdict, and it must hold at
+                # the returned S: delta_G(S) < rho(S)
                 verdict = check_edge_avoiding(g, e, a, b)
                 rho_s = first_rho_violation(g, *e, a, b)
                 assert (rho_s is None) == verdict.conclusion_holds
                 if not verdict.conclusion_holds:
                     cert = verdict.counterexample.certificate.violation
-                    assert cert.s == rho_s
+                    assert delta(g, cert.s, a, b) < rho(g, e, cert.s, a, b).value
                     g_minus_e = delete_edges(g, [e])
                     assert delta(g_minus_e, cert.s, a, b) == cert.delta < 0
                 checked += 1

@@ -26,7 +26,6 @@ from factorbench import (
 )
 from factorbench import avoidance, cli, factors, matching
 from factorbench.avoidance import (
-    Counterexample,
     Premise,
     check_edge_avoiding,
     check_edge_deletion_star,
@@ -169,7 +168,7 @@ def test_targeted_mode_needs_no_search_budget():
 def test_targeted_mode_witness_against_flow_raises(monkeypatch):
     import factorbench.avoidance as avoidance
 
-    monkeypatch.setattr(avoidance, "ab_factor_exists", lambda g, a, b: True)
+    monkeypatch.setattr(avoidance, "min_cut_set", lambda g, lower, upper: None)
     w = build_extremal_H(1, 2, 3, 1)
     with pytest.raises(RuntimeError, match="witness claims a violation"):
         check_vertex_deletion_all(
@@ -279,7 +278,7 @@ def test_matching_cap_stops_the_enumeration(monkeypatch):
     monkeypatch.setattr(avoidance, "_matchings", counted)
     monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
     with pytest.raises(CapExceeded, match="more than 500 matchings exceed the cap of 500"):
-        check_matching_deletion(complete_graph(14), 2, 3, 7, cap_n=16, cap_deletions=500)
+        check_matching_deletion(complete_graph(14), 2, 3, 7, cap_deletions=500)
     assert len(drawn) == 501
 
 
@@ -355,7 +354,18 @@ def test_edge_avoiding_agrees_with_direct_exhaustively():
                 rho_s = first_rho_violation(g, *e, a, b)
                 assert (rho_s is None) == direct
                 if not direct:
-                    assert verdict.counterexample.certificate.violation.s == rho_s
+                    assert_rho_violation(g, e, a, b, verdict.counterexample.certificate)
+
+
+def assert_rho_violation(g, e, a, b, cert):
+    """Lemma H's criterion at the certificate's S: delta_G(S) < rho(S),
+    and the certificate refutes a factor of G - e with
+    delta_{G-e}(S) = cert.delta < 0."""
+    s = cert.violation.s
+    assert delta(g, s, a, b) < rho(g, e, s, a, b).value
+    g_minus_e = Graph(g.n, [x for x in g.edges if x != e])
+    assert delta(g_minus_e, s, a, b) == cert.violation.delta < 0
+    assert cert.verify(g_minus_e, a, b)
 
 
 def reference_rho_violation(g, e, a, b):
@@ -414,21 +424,21 @@ def test_edge_avoiding_matches_oracle_and_reference_scan(case):
     assert verdict.conclusion_holds == brute_force_factor(
         g_minus_e, a, b, max_edges=g_minus_e.edge_count
     )
+    assert (reference_rho_violation(g, e, a, b) is None) == verdict.conclusion_holds
     if not verdict.conclusion_holds:
-        cert = verdict.counterexample.certificate
-        assert cert.violation.s == reference_rho_violation(g, e, a, b)
-        assert cert.verify(g_minus_e, a, b)
+        assert_rho_violation(g, e, a, b, verdict.counterexample.certificate)
 
 
 def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
-    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: None)
+    # K4 - e refused at S = {}, where nothing is deficient
+    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (None, ()))
     with pytest.raises(RuntimeError, match="routes disagree"):
         check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
 
 def test_edge_avoiding_rejects_an_invalid_direct_factor(monkeypatch):
     # the avoided edge alone; find_ab_factor re-verifies what the flow built
-    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: ((0, 1),))
+    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (((0, 1),), None))
     with pytest.raises(RuntimeError, match="fails verification"):
         check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
 
@@ -462,10 +472,11 @@ def test_theorem_e_proof_step_single_vertex_sets():
     [
         (complete_graph(7), lambda g: check_vertex_deletion_all(g, 2, 3, 1, cap_n=6),
          "capped at 6 vertices, got 7"),
-        (complete_graph(7), lambda g: check_edge_deletion_star(g, 2, 1, cap_n=6),
-         "capped at 6 vertices, got 7"),
-        (complete_graph(7), lambda g: check_matching_deletion(g, 2, 3, 1, cap_n=6),
-         "capped at 6 vertices, got 7"),
+        # K7 has 21 edges, each a 1-matching
+        (complete_graph(7), lambda g: check_edge_deletion_star(g, 2, 1, cap_deletions=20),
+         "21 deletions exceed the cap of 20"),
+        (complete_graph(7), lambda g: check_matching_deletion(g, 2, 3, 1, cap_deletions=20),
+         "more than 20 matchings exceed the cap of 20"),
         (complete_graph(7), lambda g: check_lemma_D1(g, 2, 3, 1, 2, cap_n=6),
          "capped at 6 vertices, got 7"),
         # K7 has 21 vertex pairs and 21 edges
@@ -474,18 +485,11 @@ def test_theorem_e_proof_step_single_vertex_sets():
         # the pair deletions count even with the 7 edges of C7
         (cycle_graph(7), lambda g: check_theorem_E(g, 2, 3, cap_deletions=20),
          "21 deletions"),
-        (complete_graph(7), lambda g: check_theorem_E(g, 2, 3, cap_n=6),
-         "subset enumeration capped at 6 vertices, got 7"),
-        (complete_graph(7), lambda g: check_theorem_D(g, 2, 3, 1, cap_n=6),
-         "subset enumeration capped at 6 vertices, got 7"),
         # C(7,2) + C(7,1) = 28 deletions in all
         (complete_graph(7), lambda g: check_theorem_D(g, 2, 3, 2, cap_deletions=27),
          "28 deletions exceed the cap of 27"),
-        (complete_graph(7), lambda g: check_edge_avoiding(g, (0, 1), 2, 3, cap_n=6),
-         "subset enumeration capped at 6 vertices, got 7"),
     ],
-    ids=["A-full", "B", "C", "D1", "E", "E-sparse", "E-order", "D", "D-deletions",
-         "LemmaH"],
+    ids=["A-full", "B", "C", "D1", "E", "E-sparse", "D-deletions"],
 )
 def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
     def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
@@ -494,6 +498,34 @@ def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
     monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
     with pytest.raises(CapExceeded, match=match):
         check(g)
+
+
+def test_deletion_checks_answer_beyond_the_subset_cap():
+    # only A's full mode and D1 scan subsets; every other refusal is
+    # certified by its flow, at any order
+    claw = star_graph(19)
+    for verdict in (
+        check_edge_deletion_star(claw, 2, 1),
+        check_matching_deletion(claw, 1, 2, 1),
+        check_theorem_D(claw, 1, 2, 1),
+        check_theorem_E(claw, 1, 2),
+        check_edge_avoiding(claw, (0, 1), 1, 2),
+        check_vertex_deletion_all(claw, 1, 2, 1, deletions=[(1,)]),
+    ):
+        ce = verdict.counterexample
+        assert ce.certificate.violation.s == (0,)
+        if ce.deletion.kind == "vertices" and ce.deletion.members:
+            assert ce.certificate.violation.delta == -16
+        else:
+            assert ce.certificate.violation.delta == -17
+    g = generate_random(40, Fraction(3, 10), 11)
+    for verdict in (
+        check_edge_deletion_star(g, 4, 1, cap_deletions=1000),
+        check_matching_deletion(g, 2, 3, 1, cap_deletions=1000),
+        check_theorem_D(g, 2, 3, 1),
+        check_edge_avoiding(g, g.edges[0], 2, 3),
+    ):
+        assert verdict.outcome == "verified"
 
 
 @pytest.mark.parametrize(
@@ -586,28 +618,25 @@ def test_lemma_d1_conclusion_violation_is_certified():
 # -- the shared refusal loop ------------------------------------------------------------------
 
 
-def reference_counterexample(g, specs, a, b):
-    """First deletion whose deleted graph the exhaustive oracle refuses,
-    certified by the first S of negative deficiency in size-then-
-    lexicographic order, from the public delta and low_set."""
+def reference_refusal(g, specs, a, b):
+    """First deletion whose deleted graph the exhaustive oracle refuses."""
     for spec in specs:
-        res = delete(g, spec)
-        h = res.graph
+        h = delete(g, spec).graph
         exists = brute_force_factor(h, a, b)
-        assert exists == find_ab_factor(h, a, b, cert_cap=0).exists
-        if exists:
-            continue
-        lift = res.original_labels
-        for k in range(h.n + 1):
-            for s in combinations(range(h.n), k):
-                d = delta(h, s, a, b)
-                if d < 0:
-                    violation = FactorViolation(
-                        tuple(lift[x] for x in s), tuple(lift[x] for x in low_set(h, s, a)), d
-                    )
-                    return Counterexample(spec, FactorCertificate(False, violation=violation))
-        raise AssertionError(f"the oracle refuses G - {spec} but no S is deficient")
+        assert exists == find_ab_factor(h, a, b).exists
+        if not exists:
+            return spec
     return None
+
+
+def assert_certifies_deletion(g, ce, a, b):
+    """The counterexample's certificate, taken back to the labels of the
+    deleted graph, refutes an [a,b]-factor there."""
+    res = delete(g, ce.deletion)
+    local = {old: new for new, old in enumerate(res.original_labels)}
+    s, t, d, bound = ce.certificate.violation
+    violation = FactorViolation(tuple(local[x] for x in s), tuple(local[x] for x in t), d, bound)
+    assert FactorCertificate(False, violation=violation).verify(res.graph, a, b)
 
 
 def vertex_specs(g, size):
@@ -635,10 +664,13 @@ def small_graph_and_bounds(draw):
 @example((Graph(7, [(u, v) for u in range(3) for v in range(3, 7)]), 1, 2, 1))
 def test_refusal_loop_matches_search_reference(case):
     g, a, b, n = case
-    ref = reference_counterexample
+    ref = reference_refusal
 
     def verdict_parts(v):
-        return v.premises, v.conclusion_holds, v.counterexample
+        ce = v.counterexample
+        if ce is not None:
+            assert_certifies_deletion(g, ce, a, b)
+        return v.premises, v.conclusion_holds, None if ce is None else ce.deletion
 
     expected_a = ref(g, vertex_specs(g, n), a, b)
     assert verdict_parts(check_vertex_deletion_all(g, a, b, n)) == (
@@ -654,7 +686,7 @@ def test_refusal_loop_matches_search_reference(case):
     detail = (
         f"all {comb(g.n, n)} {n}-subset deletions admit factors"
         if expected_a is None
-        else f"G - {list(expected_a.deletion.members)} admits no [{a},{b}]-factor"
+        else f"G - {list(expected_a.members)} admits no [{a},{b}]-factor"
     )
     premises_d = theorem_premises("D", g, a=a, b=b, n=n) + (
         Premise("antecedent", expected_a is None, detail),
@@ -673,7 +705,7 @@ def test_refusal_loop_matches_search_reference(case):
     elif pair is None:
         detail = f"all {comb(g.n, 2)} vertex-pair deletions admit [{a},{b}]-factors"
     else:
-        detail = "G - {{{}, {}}} admits no [{},{}]-factor".format(*pair.deletion.members, a, b)
+        detail = "G - {{{}, {}}} admits no [{},{}]-factor".format(*pair.members, a, b)
     assert premises_e == (
         min_degree, Premise("pair_deletions", min_degree.holds and pair is None, detail)
     )

@@ -219,7 +219,7 @@ def test_avoid_runs_the_check_bound_on_avoidance(tmp_path, capsys, monkeypatch):
         capsys, ["avoid", str(path), "--mode", "matching", "--a", "1", "--b", "2", "--n", "1"]
     )
     assert code == 0 and json.loads(out)["outcome"] == "verified"
-    assert calls == [(5, 1, 2, 1, ["cap_deletions", "cap_n"])]
+    assert calls == [(5, 1, 2, 1, ["cap_deletions"])]
 
 
 def test_avoid_cap_exit_code(tmp_path, capsys):
@@ -276,6 +276,21 @@ def test_cap_deletions_is_refused_where_it_is_never_read(argv, capsys):
     assert "unrecognized arguments: --cap-deletions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "-", "--a", "1", "--b", "2", "--cap-n", "5"],
+        ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1", "--cap-n", "5"],
+    ],
+    ids=["factor", "extremal"],
+)
+def test_cap_n_is_refused_where_no_subset_is_scanned(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-n 5" in capsys.readouterr().err
+
+
 def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
     # H(3,3,5,2) has 86 vertices, beyond the graph6 short form
     import factorbench.avoidance as avoidance
@@ -316,6 +331,11 @@ def test_factor_decides_beyond_the_scan_cap(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["factor", str(path), "--a", "1", "--b", "2"])
     assert code == 0
     assert json.loads(out) == {"verdict": "exists"}
+    # a refusal is certified by the flow's cut at any order
+    path.write_text(emit_graph6(star_graph(19)) + "\n")
+    code, out, _ = run_cli(capsys, ["factor", str(path), "--a", "1", "--b", "2"])
+    assert code == 1
+    assert json.loads(out) == {"verdict": "none", "S": [0], "T": list(range(1, 20)), "delta": -17}
 
 
 def test_extremal_ratio_increases_with_m(capsys):

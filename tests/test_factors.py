@@ -39,7 +39,7 @@ from factorbench.factors import (
     low_set,
     scan_deficiency,
 )
-from factorbench.flow import ab_factor, ab_factor_exists, gf_factor_exists
+from factorbench.flow import ab_factor, ab_factor_exists, min_cut_set
 
 
 def all_graphs(n):
@@ -126,38 +126,48 @@ def test_check_ab_factor_rejects_a_equals_b():
         check_ab_factor(cycle_graph(4), 2, 2)
 
 
-def test_check_ab_factor_cap():
-    with pytest.raises(CapExceeded):
-        check_ab_factor(Graph(20), 1, 2, cap_n=16)
-
-
-def test_cap_bounds_only_the_refusal_scan():
-    # the flow decides "exists" at any size; only a refusal needs the scan
-    assert check_ab_factor(complete_graph(20), 1, 2, cap_n=16).exists
+def test_factor_checks_answer_beyond_sixteen_vertices():
+    # the refusal certificates come from the deciding route, so no order
+    # is too large to certify: K_{1,19} and G(40, 3/10, seed 11)
+    claw = star_graph(19)
+    for cert in (check_ab_factor(claw, 1, 2), find_ab_factor(claw, 1, 2)):
+        assert not cert.exists
+        assert cert.violation.s == (0,) and cert.violation.delta == -17
+        assert cert.verify(claw, 1, 2)
+    cert = check_gf_factor(claw, [1] * 20, [2] * 20)
+    assert cert.violation.s == (0,) and cert.violation.delta == -17
     for m in (1, 2):
-        assert check_star_factor(complete_graph(20), m, cap_n=16).exists
-        with pytest.raises(CapExceeded):
-            check_star_factor(Graph(20), m, cap_n=16)
-    lower, upper = [1] * 10 + [2] * 10, [2] * 10 + [3] * 10
-    assert check_gf_factor(complete_graph(20), lower, upper, cap_n=16).exists
-    with pytest.raises(CapExceeded):
-        check_gf_factor(Graph(20), lower, upper, cap_n=16)
+        res = check_star_factor(claw, m)
+        assert not res.exists and res.witness == (0,)
+    assert check_star_factor(claw, 1).odd_components == 19
+    assert check_star_factor(claw, 2).isolated == 19
+    assert check_star_factor(claw, 19).exists
+    g = generate_random(40, Fraction(3, 10), 11)
+    assert check_ab_factor(g, 2, 3).exists and check_star_factor(g, 1).exists
+    lower, upper = [1] * 20 + [2] * 20, [2] * 20 + [3] * 20
+    assert check_gf_factor(g, lower, upper).exists
+    cert = check_gf_factor(Graph(40), lower, upper)
+    assert not cert.exists
+    assert cert.violation.s == () and cert.violation.delta == -60
 
 
 def test_flow_refusal_without_violation_is_a_route_disagreement(monkeypatch):
     import factorbench.factors as factors
 
-    monkeypatch.setattr(factors, "ab_factor_exists", lambda g, a, b: False)
+    # a cut, or a barrier, at which nothing is deficient
+    monkeypatch.setattr(factors, "min_cut_set", lambda g, lower, upper: ())
     with pytest.raises(RuntimeError, match="disagree"):
         check_ab_factor(cycle_graph(4), 1, 2)
     with pytest.raises(RuntimeError, match="disagree"):
         check_star_factor(cycle_graph(4), 2)
-    monkeypatch.setattr(factors, "k_factor", lambda g, k: None)
-    with pytest.raises(RuntimeError, match="disagree"):
-        check_star_factor(cycle_graph(4), 1)
-    monkeypatch.setattr(factors, "gf_factor_exists", lambda g, lower, upper: False)
     with pytest.raises(RuntimeError, match="disagree"):
         check_gf_factor(cycle_graph(4), [1, 0, 1, 2], [2, 1, 2, 2])
+    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (None, (0, 2)))
+    with pytest.raises(RuntimeError, match="disagree"):
+        find_ab_factor(cycle_graph(4), 1, 2)
+    monkeypatch.setattr(factors, "perfect_matching", lambda nbrs: (None, (0, 2)))
+    with pytest.raises(RuntimeError, match="disagree"):
+        check_star_factor(cycle_graph(4), 1)
 
 
 def test_flow_decision_rejects_bad_bounds():
@@ -195,8 +205,9 @@ def test_flow_decision_matches_oracle_and_scan(case):
 @example((Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 1, 2))
 def test_flow_factor_matches_decision_and_oracle(case):
     g, a, b = case
-    factor = ab_factor(g, a, b)
+    factor, s = ab_factor(g, a, b)
     assert (factor is not None) == ab_factor_exists(g, a, b) == brute_force_factor(g, a, b)
+    assert (s is None) == (factor is not None)
     if factor is not None:
         assert FactorCertificate(True, factor_edges=factor).verify(g, a, b)
         assert list(factor) == sorted(set(factor))
@@ -236,7 +247,7 @@ def small_graph_and_gf_bounds(draw):
 def test_gf_flow_matches_kernel_and_edge_subsets(case):
     g, lower, upper = case
     expected = gf_factor_by_edge_subsets(g, lower, upper)
-    assert gf_factor_exists(g, lower, upper) == expected
+    assert (min_cut_set(g, lower, upper) is None) == expected
     bounds = DegreeBounds(tuple(lower), tuple(upper))
     assert (next(deficient_sets(g, bounds), None) is None) == expected
     cert = check_gf_factor(g, lower, upper)
@@ -249,17 +260,18 @@ def test_gf_flow_matches_kernel_and_edge_subsets(case):
 
 
 def test_extremal_h_minus_v0_violates_at_small_clique():
-    for params in [(1, 2, 3, 1), (2, 2, 3, 1)]:
-        w = build_extremal_H(*params)
-        m, a, b, n = params
-        res = delete_vertices(w.graph, w.default_v0())
-        cert = check_ab_factor(res.graph, a, b, cap_n=res.graph.n)
-        assert not cert.exists
-        index = {old: new for new, old in enumerate(res.original_labels)}
-        small = tuple(sorted(index[v] for v in w.clique_small))
-        # first (size-lex) violating S is exactly the small clique
-        assert cert.violation.s == small
-        assert cert.violation.delta == -(a - 1)
+    # the nine criterion-3 graphs, up to 57 vertices after deleting V0: the
+    # flow's own cut is the small clique, with no witness given
+    for a, b, n in [(2, 3, 1), (2, 4, 2), (3, 4, 1)]:
+        for m in (1, 2, 3):
+            w = build_extremal_H(m, a, b, n)
+            res = delete_vertices(w.graph, w.default_v0())
+            cert = check_ab_factor(res.graph, a, b)
+            assert not cert.exists and cert.verify(res.graph, a, b)
+            index = {old: new for new, old in enumerate(res.original_labels)}
+            small = tuple(sorted(index[v] for v in w.clique_small))
+            assert cert.violation.s == small
+            assert cert.violation.delta == -(a - 1)
 
 
 def test_check_gf_factor_specialises_to_ab():
@@ -289,6 +301,86 @@ def test_check_gf_factor_validates_vectors():
         check_gf_factor(path_graph(2), [1], [2, 2])
     with pytest.raises(ValueError):
         check_gf_factor(path_graph(2), [-1, 0], [1, 1])
+
+
+# -- route certificates at any order -------------------------------------------------
+
+
+@st.composite
+def graph_up_to_40(draw):
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
+                              Fraction(1, 2), Fraction(4, 5)]))
+    return generate_random(n, p, draw(st.integers(0, 2**32 - 1)))
+
+
+def recount(g, lower, upper, s):
+    """T and the deficiency at S, counted from the neighbour lists."""
+    rest = {x: len(set(g.neighbors(x)) - set(s)) for x in range(g.n) if x not in s}
+    t = tuple(x for x in rest if rest[x] < lower[x])
+    return t, sum(upper[x] for x in s) + sum(rest[x] - lower[x] for x in t)
+
+
+def assert_route_certificate(g, lower, upper, cert):
+    bounds = DegreeBounds(tuple(lower), tuple(upper))
+    if g.n <= 10:
+        assert (next(deficient_sets(g, bounds), None) is None) == cert.exists
+    if cert.exists:
+        return
+    s, t, d, bound = cert.violation
+    assert list(s) == sorted(set(s)) and all(0 <= x < g.n for x in s)
+    assert (t, d) == recount(g, lower, upper, s) and d < bound == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_up_to_40(), st.data())
+def test_uniform_refusals_carry_the_cut_certificate(g, data):
+    a = data.draw(st.integers(0, 4))
+    b = data.draw(st.integers(a + 1, 5))
+    cert = check_ab_factor(g, a, b)
+    assert_route_certificate(g, [a] * g.n, [b] * g.n, cert)
+    assert cert.exists or cert.verify(g, a, b)
+    assert find_ab_factor(g, a, b).exists == cert.exists
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_up_to_40(), st.data())
+def test_per_vertex_refusals_carry_the_cut_certificate(g, data):
+    lower = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))
+    upper = [lo + data.draw(st.integers(1, 2)) for lo in lower]
+    assert_route_certificate(g, lower, upper, check_gf_factor(g, lower, upper))
+
+
+def odd_components_of(g, s):
+    """Odd components of G - S, by search over the neighbour lists."""
+    seen = set(s)
+    odd = 0
+    for root in range(g.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, size = [root], 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            for y in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        odd += size % 2
+    return odd
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_up_to_40())
+def test_perfect_matching_refusals_carry_a_tutte_set(g):
+    res = check_star_factor(g, 1)
+    if g.edge_count <= 25:
+        assert res.exists == brute_force_factor(g, 1, 1)
+    if not res.exists:
+        s = res.witness
+        assert list(s) == sorted(set(s))
+        assert res.odd_components == odd_components_of(g, s) > len(s)
 
 
 # -- constructive finder ------------------------------------------------------------
