@@ -465,6 +465,15 @@ def test_verify_rejects_a_repeated_edge():
     assert not find_ab_factor(k2, 2, 2).exists
 
 
+def test_verify_accepts_a_bare_negative_only_for_a_equals_b():
+    # every a < b refusal carries its cut's S; only a = b refuses bare
+    bare = FactorCertificate(False)
+    assert not bare.verify(cycle_graph(4), 1, 2)
+    assert bare.verify(cycle_graph(4), 2, 2)
+    assert find_ab_factor(path_graph(3), 2, 3).violation is not None
+    assert find_ab_factor(complete_graph(9), 3, 3).verify(complete_graph(9), 3, 3)
+
+
 @pytest.mark.parametrize("edge", [(9, 0), (0, 9), (-1, 0), (0, -1), (4, 4)])
 def test_verify_rejects_a_factor_edge_outside_the_graph(edge):
     cert = FactorCertificate(True, factor_edges=((0, 1), (2, 3), edge))
