@@ -485,11 +485,18 @@ def test_theorem_e_proof_step_single_vertex_sets():
         # the pair deletions count even with the 7 edges of C7
         (cycle_graph(7), lambda g: check_theorem_E(g, 2, 3, cap_deletions=20),
          "21 deletions"),
+        # E keeps no vertex cap, so its deletion cap is all that stops K20:
+        # C(20,2) = 190 vertex pairs
+        (complete_graph(20), lambda g: check_theorem_E(g, 2, 3, cap_deletions=189),
+         "190 deletions exceed the cap of 189"),
+        # nor does D: with n = 1, K20 has C(20,1) + C(20,0) = 21 deletions
+        (complete_graph(20), lambda g: check_theorem_D(g, 2, 3, 1, cap_deletions=20),
+         "21 deletions exceed the cap of 20"),
         # C(7,2) + C(7,1) = 28 deletions in all
         (complete_graph(7), lambda g: check_theorem_D(g, 2, 3, 2, cap_deletions=27),
          "28 deletions exceed the cap of 27"),
     ],
-    ids=["A-full", "B", "C", "D1", "E", "E-sparse", "D-deletions"],
+    ids=["A-full", "B", "C", "D1", "E", "E-sparse", "E-order", "D", "D-deletions"],
 )
 def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
     def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run

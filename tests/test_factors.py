@@ -126,6 +126,37 @@ def test_check_ab_factor_rejects_a_equals_b():
         check_ab_factor(cycle_graph(4), 2, 2)
 
 
+def test_check_ab_factor_cap():
+    # no cap is left: the empty 20-vertex graph is refused with the cut's
+    # certificate, and cap_n is no longer a parameter
+    cert = check_ab_factor(Graph(20), 1, 2)
+    assert not cert.exists
+    assert cert.violation.s == () and cert.violation.t == tuple(range(20))
+    assert cert.violation.delta == -20
+    assert cert.verify(Graph(20), 1, 2)
+    with pytest.raises(TypeError, match="cap_n"):
+        check_ab_factor(Graph(20), 1, 2, cap_n=16)
+
+
+def test_cap_bounds_only_the_refusal_scan():
+    # the refusal scan is gone, so the flow or the blossom search answers
+    # both ways at any order, and none of the three checks takes cap_n
+    assert check_ab_factor(complete_graph(20), 1, 2).exists
+    for m in (1, 2):
+        assert check_star_factor(complete_graph(20), m).exists
+        res = check_star_factor(Graph(20), m)
+        assert not res.exists and res.witness == ()
+        with pytest.raises(TypeError, match="cap_n"):
+            check_star_factor(Graph(20), m, cap_n=16)
+    lower, upper = [1] * 10 + [2] * 10, [2] * 10 + [3] * 10
+    assert check_gf_factor(complete_graph(20), lower, upper).exists
+    cert = check_gf_factor(Graph(20), lower, upper)
+    assert not cert.exists
+    assert cert.violation.s == () and cert.violation.delta == -30
+    with pytest.raises(TypeError, match="cap_n"):
+        check_gf_factor(Graph(20), lower, upper, cap_n=16)
+
+
 def test_factor_checks_answer_beyond_sixteen_vertices():
     # the refusal certificates come from the deciding route, so no order
     # is too large to certify: K_{1,19} and G(40, 3/10, seed 11)
