@@ -87,6 +87,9 @@ class CampaignConfig:
                 raise ValueError(f"config field 'p_list': {p} outside [0, 1]")
         if self.quota < 1:
             raise ValueError("config field 'quota': must be >= 1")
+        for key in ("cap_n", "cap_deletions"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"config field '{key}': must be >= 0")
         for f in fields(self):
             key = _config_key(f.name)
             axis = key.partition(".")[2]

@@ -9,11 +9,18 @@ counterexample, 2 = usage, parse, or config error, 3 = enumeration cap
 exceeded: a deletion family over ``--cap-deletions``, or the subset scan
 of ``avoid --mode vertices`` over ``--cap-n``.  FACTORBENCH_CAP_N and
 FACTORBENCH_CAP_DELETIONS set the default enumeration caps.
+
+The parser is built once per process, on the first `main` call.  The cap
+variables are read on every call, so a changed variable takes effect on
+the next in-process call, and a non-integer or negative variable exits 2
+on every subcommand; a negative ``--cap-n`` or ``--cap-deletions`` exits
+2 as well.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,16 +40,37 @@ EXIT_ERROR = 2
 EXIT_RESOURCE = 3
 
 
-def _env_int(name: str, default: int) -> int:
+# (parser dest, environment variable, default) of each enumeration cap
+_CAPS = (
+    ("cap_n", "FACTORBENCH_CAP_N", DEFAULT_CAP_N),
+    ("cap_deletions", "FACTORBENCH_CAP_DELETIONS", DEFAULT_CAP_DELETIONS),
+)
+
+
+def _env_cap(name: str, default: int) -> int:
     value = os.environ.get(name)
     if value is None:
         return default
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise ValueError(
             f"environment variable {name} must be an integer, got {value!r}"
         ) from None
+    if cap < 0:
+        raise ValueError(f"environment variable {name} must be >= 0, got {cap}")
+    return cap
+
+
+def _resolve_caps(args, env_caps: dict) -> None:
+    """Give each cap flag that ``args`` has and the command line left unset
+    its environment value, and refuse a negative one."""
+    for dest, cap in env_caps.items():
+        flag = getattr(args, dest, cap)
+        if flag is None:
+            setattr(args, dest, cap)
+        elif flag < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {flag}")
 
 
 def _read_lines(path: str | None):
@@ -163,6 +191,7 @@ def cmd_campaign(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorbench",
@@ -192,10 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="star size bound (edges mode)")
     p.add_argument("--n", type=int, help="number of deleted objects")
     p.add_argument("--edge", help="single edge as 'u,v' (edge mode)")
-    p.add_argument("--cap-n", type=int, default=_env_int("FACTORBENCH_CAP_N", DEFAULT_CAP_N),
+    p.add_argument("--cap-n", type=int,
                    help="max vertices for the subset scan (vertices mode)")
     p.add_argument("--cap-deletions", type=int,
-                   default=_env_int("FACTORBENCH_CAP_DELETIONS", DEFAULT_CAP_DELETIONS),
                    help="max enumerated deletions per instance")
     p.set_defaults(func=cmd_avoid)
 
@@ -219,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        env_caps = {dest: _env_cap(name, default) for dest, name, default in _CAPS}
         args = build_parser().parse_args(argv)
+        _resolve_caps(args, env_caps)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded
-from .graphs import Graph, isolated_count_mask, vertex_mask
+from .graphs import Graph, _bits, isolated_count_mask, vertex_mask
 
 DEFAULT_BRUTEFORCE_CAP = 16
 
@@ -143,6 +143,16 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
     Ratios are compared as cross-multiplied integers, holding the
     incumbent as the pair (num, den); the one `Fraction` is built at
     return.  Only vertices of degree at most |N| can join a closure.
+
+    The witness.  The incumbent S is held as a vertex mask, and the one
+    witness tuple is built at return.  Ties are broken on the masks by
+    `_sorted_before`: for masks A != B with x the lowest bit of A ^ B,
+    A's sorted tuple is the smaller exactly when x is in A and B has a
+    vertex above x, or x is in B and A has none above x.  Proof, for x in
+    A (for x in B swap the roles of A and B):
+      * the two tuples agree on their vertices below x;
+      * A's next entry is x, and B's is its lowest vertex above x, if any;
+      * so A is smaller if B has such a vertex, and B, a prefix of A, if not.
     """
     if g.n == 0:
         raise ValueError("isolated toughness is undefined on the empty graph")
@@ -161,9 +171,9 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
     root = deg_at_most[0]
     if root.bit_count() >= 2:
         return ToughnessReport(Fraction(0), (), root.bit_count())
-    # incumbent ratio num/den, den = i(G - best_s); den == 0 means none yet
-    num, den = 0, 0
-    best_s: tuple[int, ...] = ()
+    # incumbent ratio num/den, den = i(G - S) for the mask best_s of S;
+    # den == 0 means none yet
+    num, den, best_s = 0, 0, 0
     # pv[w]: the private neighbours of w at degree cap ``cap``; has_pv
     # marks the w that have some
     cap = -1
@@ -224,15 +234,21 @@ def isolated_toughness(g: Graph) -> ToughnessReport:
                         q |= u
                 iso = q.bit_count()
                 if iso >= 2 and k * den <= num * iso:
-                    s_tuple = tuple(u for u in range(n) if nn >> u & 1)
-                    if not den or k * den < num * iso or s_tuple < best_s:
-                        num, den, best_s = k, iso, s_tuple
+                    if not den or k * den < num * iso or _sorted_before(nn, best_s):
+                        num, den, best_s = k, iso, nn
                 extend(q, nn, bit.bit_length())
 
     extend(root, 0, 0)
     if not den:  # non-complete: some nonadjacent pair exists
         raise RuntimeError("no independent pair found in a non-complete graph")
-    return ToughnessReport(Fraction(num, den), best_s, den)
+    return ToughnessReport(Fraction(num, den), tuple(_bits(best_s)), den)
+
+
+def _sorted_before(a: int, b: int) -> bool:
+    """Whether vertex mask ``a``'s sorted tuple is lexicographically
+    smaller than ``b``'s (see `isolated_toughness` for the proof)."""
+    x = (a ^ b) & -(a ^ b)
+    return b >= x << 1 if a & x else a < x << 1
 
 
 def threshold(name: str, a: int | None = None, b: int | None = None,

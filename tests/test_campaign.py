@@ -170,6 +170,26 @@ def test_config_refuses_k_above_b_before_any_sampling(monkeypatch):
         CampaignConfig.from_text("theorems = D1\nD1.ab = 2:3\nD1.k = 4\n")
 
 
+@pytest.mark.parametrize("key", ["cap_n", "cap_deletions"])
+def test_config_refuses_a_negative_cap_before_any_work(monkeypatch, key):
+    import factorbench.avoidance as avoidance
+    import factorbench.campaign as campaign
+
+    def no_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("premise or deletion work ran for an invalid config")
+
+    for work in ("generate_random", "theorem_premises", "extremal_sharpness"):
+        monkeypatch.setattr(campaign, work, no_work)
+    for row in avoidance.THEOREMS.values():
+        monkeypatch.setattr(avoidance, row.check, no_work)
+    message = rf"config field '{key}': must be >= 0"
+    with pytest.raises(ValueError, match=message):
+        CampaignConfig.from_text(f"{key} = -1\n")
+    with pytest.raises(ValueError, match=message):
+        run_campaign(small_config(extremal=((1, 2, 3, 1),), **{key: -1}))
+    small_config(**{key: 0}).validate()
+
+
 def test_config_rejects_extremal_beyond_graph6():
     from factorbench import GRAPH6_MAX_N, build_extremal_H
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from factorbench import complete_graph, cycle_graph, emit_graph6, path_graph, star_graph
-from factorbench.cli import main
+from factorbench.cli import build_parser, main
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -178,12 +178,96 @@ def test_avoid_missing_parameter_is_usage_error(tmp_path, capsys):
     assert err == "error: avoid --mode vertices requires --n\n"
 
 
-@pytest.mark.parametrize("name", ["FACTORBENCH_CAP_N", "FACTORBENCH_CAP_DELETIONS"])
-def test_non_integer_cap_variable_is_usage_error(capsys, monkeypatch, name):
+CAP_VARIABLES = ("FACTORBENCH_CAP_N", "FACTORBENCH_CAP_DELETIONS")
+# subcommands that take no cap flag still read the cap variables
+CAPLESS_ARGVS = (
+    ["toughness", "-"],
+    ["factor", "-", "--a", "1", "--b", "2"],
+    ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"],
+)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        pytest.param(name, argv, id=name if argv[0] == "toughness" else f"{argv[0]}-{name}")
+        for argv in CAPLESS_ARGVS
+        for name in CAP_VARIABLES
+    ],
+)
+def test_non_integer_cap_variable_is_usage_error(capsys, monkeypatch, name, argv):
     monkeypatch.setenv(name, "twelve")
-    code, out, err = run_cli(capsys, ["toughness", "-"], stdin="", monkeypatch=monkeypatch)
+    code, out, err = run_cli(capsys, argv, stdin="", monkeypatch=monkeypatch)
     assert code == 2 and out == ""
     assert err.startswith(f"error: environment variable {name} must be an integer")
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cap_variable_is_read_on_every_call(capsys, monkeypatch):
+    # K5 under vertex deletion with n = 1: five deletions
+    argv = ["avoid", "-", "--mode", "vertices", "--a", "2", "--b", "3", "--n", "1"]
+    monkeypatch.setenv("FACTORBENCH_CAP_DELETIONS", "1")
+    code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err == "error: 5 deletions exceed the cap of 1\n"
+    code, out, _ = run_cli(
+        capsys, argv + ["--cap-deletions", "10"], stdin="D~{\n", monkeypatch=monkeypatch
+    )
+    assert code == 0 and json.loads(out)["outcome"] == "verified"
+    monkeypatch.delenv("FACTORBENCH_CAP_DELETIONS")
+    code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+    assert code == 0 and err == "" and json.loads(out)["outcome"] == "verified"
+
+
+NEGATIVE_CAPS = {
+    "flag-cap-n": (["--cap-n", "-1"], {}, "--cap-n must be >= 0, got -1"),
+    "flag-cap-deletions": (["--cap-deletions", "-5"], {}, "--cap-deletions must be >= 0, got -5"),
+    "env-cap-n": (
+        [], {"FACTORBENCH_CAP_N": "-3"},
+        "environment variable FACTORBENCH_CAP_N must be >= 0, got -3",
+    ),
+    "env-cap-deletions": (
+        [], {"FACTORBENCH_CAP_DELETIONS": "-5"},
+        "environment variable FACTORBENCH_CAP_DELETIONS must be >= 0, got -5",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["vertices", "matching"])
+@pytest.mark.parametrize("case", list(NEGATIVE_CAPS))
+def test_negative_cap_is_usage_error_before_any_work(capsys, monkeypatch, case, mode):
+    import factorbench.avoidance as avoidance
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("premise or deletion work ran before the cap was refused")
+
+    for check in ("check_vertex_deletion_all", "check_matching_deletion", "theorem_premises"):
+        monkeypatch.setattr(avoidance, check, no_work)
+    flags, env, message = NEGATIVE_CAPS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = ["avoid", "-", "--mode", mode, "--a", "2", "--b", "3", "--n", "1"] + flags
+    code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", CAP_VARIABLES)
+def test_negative_cap_variable_is_usage_error_on_every_subcommand(capsys, monkeypatch, name):
+    import factorbench.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the cap variable was refused")
+
+    for work in ("isolated_toughness", "check_ab_factor", "extremal_sharpness"):
+        monkeypatch.setattr(cli, work, no_work)
+    monkeypatch.setenv(name, "-3")
+    for argv in CAPLESS_ARGVS:
+        code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: environment variable {name} must be >= 0, got -3\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorbench import (
@@ -21,6 +21,7 @@ from factorbench import (
 )
 from factorbench.toughness import (
     ToughnessReport,
+    _sorted_before,
     isolated_toughness,
     isolated_toughness_bruteforce,
     threshold,
@@ -351,6 +352,38 @@ def test_extremal_h_toughness_triples_are_pinned(params, expected):
     rep = isolated_toughness(g)
     assert (rep.value, rep.witness, rep.isolated_at_witness) == expected
     assert rep.verify(g)
+
+
+# -- witness tie rule -----------------------------------------------------------
+
+
+def sorted_tuple(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def test_tie_rule_matches_tuple_order_on_all_8_bit_masks():
+    tuples = [sorted_tuple(m) for m in range(1 << 8)]
+    for a in range(1 << 8):
+        for b in range(1 << 8):
+            if a != b:
+                assert _sorted_before(a, b) == (tuples[a] < tuples[b]), (a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(0, (1 << 62) - 1),
+    st.integers(0, (1 << 62) - 1),
+    st.integers(0, 62),
+)
+@example(0b1011, 0b11, 2)  # b's tuple is a prefix of a's
+@example(0, 1 << 61, 0)
+def test_tie_rule_matches_tuple_order_on_62_bit_masks(a, high, shared):
+    # b keeps a's lowest ``shared`` bits, so long common prefixes are drawn
+    low = (1 << shared) - 1
+    b = a & low | high & ~low
+    if a != b:
+        assert _sorted_before(a, b) == (sorted_tuple(a) < sorted_tuple(b))
+        assert _sorted_before(b, a) == (sorted_tuple(b) < sorted_tuple(a))
 
 
 # -- thresholds -----------------------------------------------------------------
