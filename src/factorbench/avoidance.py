@@ -6,11 +6,11 @@ recorded one by one, the conclusion is verified by exhaustive enumeration
 of the deleted objects, and any failure is returned as a re-verifiable
 certificate.  Each deleted graph is decided by the double-cover flow, and
 a refusal is certified by the S of that flow's least minimum cut, whose
-deficiency is re-checked; no subset is enumerated for it, so only the
-statements that scan subsets (A in full mode, D1) take ``cap_n``.  A
-factor the flow builds is re-verified, and wherever an independent
-criterion route exists alongside the direct route, the two must agree; a
-disagreement is a bug, not a verdict.
+deficiency is re-checked; no subset is enumerated for it, so only D1,
+the one statement that scans subsets, takes ``cap_n``.  A factor the flow
+builds is re-verified, and wherever an independent criterion route
+exists alongside the direct route, the two must agree; a disagreement is
+a bug, not a verdict.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class Theorem:
     ``check`` names the check function of this module.  It is looked up
     when ``run`` is called, so a replaced module attribute is the one
     that runs.  ``params`` are its positional parameters after the graph
-    and ``limits`` the caps it takes by keyword, ``cap_n`` only where
-    subsets are scanned.  ``premises`` gives the recorded hypotheses for
+    and ``limits`` the caps it takes by keyword, ``cap_n`` only for D1,
+    which scans subsets.  ``premises`` gives the recorded hypotheses for
     ``theorem_premises``.  ``axes`` is the campaign grid, empty for a
     statement the campaign does not run: the config field
     ``<tag>_<axis>`` lists the values, ``ab`` gives a and b together, and
@@ -222,7 +222,7 @@ _DELETIONS = ("cap_deletions",)
 THEOREMS = {
     t.tag: t
     for t in (
-        Theorem("A", "check_vertex_deletion_all", ("a", "b", "n"), ("cap_n", "cap_deletions"),
+        Theorem("A", "check_vertex_deletion_all", ("a", "b", "n"), _DELETIONS,
                 _degree_and_toughness("A"), ("ab", "n"), mode="vertices"),
         Theorem("B", "check_edge_deletion_star", ("m", "n"), _DELETIONS,
                 _star_premises, ("m", "n"), lambda p: 2 * p["n"] <= p["m"], mode="edges"),
@@ -292,13 +292,17 @@ def _gate(
     cap_deletions: int = 0, what: str = "deletions", cap_n: int | None = None,
 ) -> list | None:
     """The one range and cap check of every statement, run before any
-    premise or deletion work: ``params`` first, then the order of ``g``
-    against ``cap_n`` where subsets are scanned, then the deleted objects
-    against ``cap_deletions``.
-    ``deletions()`` is called only once the parameters are in range.  It
+    premise or deletion work: ``params`` first, then a negative cap is
+    refused, then the order of ``g`` is checked against ``cap_n`` where
+    subsets are scanned (D1), then the deleted objects against
+    ``cap_deletions``.
+    ``deletions()`` is called only once the parameters and caps pass.  It
     returns their number, or a lazy iterable of them, which is drawn at
     most ``cap_deletions + 1`` times; the drawn list is then returned."""
     _check_params(params)
+    for name, cap in (("cap_n", cap_n), ("cap_deletions", cap_deletions)):
+        if cap is not None and cap < 0:
+            raise ValueError(f"{name} must be >= 0, got {cap}")
     if cap_n is not None and g.n > cap_n:
         raise CapExceeded(f"subset enumeration capped at {cap_n} vertices, got {g.n}")
     count = deletions()
@@ -312,21 +316,21 @@ def _gate(
     return drawn
 
 
-def _lift_violation(v: FactorViolation, labels: Sequence[int]) -> FactorViolation:
-    return FactorViolation(
-        tuple(labels[x] for x in v.s),
-        tuple(labels[x] for x in v.t),
-        v.delta,
-        v.bound,
-    )
+def _lifted_refusal(v: FactorViolation, labels: Sequence[int]) -> FactorCertificate:
+    """The refusal certified by a violation of a deleted graph, in the
+    labels of the original graph."""
+    return FactorCertificate(False, violation=FactorViolation(
+        tuple(labels[x] for x in v.s), tuple(labels[x] for x in v.t), v.delta, v.bound,
+    ))
 
 
 def _refusal_cert(g_del: Graph, labels, a: int, b: int, s) -> FactorCertificate:
     """Certificate for a deleted graph without an [a,b]-factor: the
     violation at the S of its least minimum cut, lifted to original
     labels."""
-    violation = _certify_refusal(g_del, DegreeBounds.uniform(a, b, g_del.n), s)
-    return FactorCertificate(False, violation=_lift_violation(violation, labels))
+    return _lifted_refusal(
+        _certify_refusal(g_del, DegreeBounds.uniform(a, b, g_del.n), s), labels
+    )
 
 
 def _vertex_deletions(g: Graph, size: int) -> Iterable[DeletionSpec]:
@@ -370,16 +374,19 @@ def check_vertex_deletion_all(
     *,
     deletions: Iterable[Sequence[int]] | None = None,
     witnesses: Iterable[Sequence[int]] | None = None,
-    cap_n: int = DEFAULT_CAP_N,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
 ) -> AvoidanceVerdict:
     """Does G - V' have an [a,b]-factor for every n-subset V'?
 
-    Default mode enumerates every n-subset and runs two independent
-    routes: the direct one decides each G - V' by the double-cover flow,
-    and the criterion one demands deficiency >= b*n for every S with
-    |S| >= n (each such S contains an n-subset, and conversely).  The two
-    verdicts must agree.
+    Default mode enumerates every n-subset, at most ``cap_deletions`` of
+    them, and decides each G - V' by ``find_ab_factor``, in polynomial
+    time at any order: a factor it returns has passed
+    ``FactorCertificate.verify``, and a refusal carries the S of the
+    flow's least minimum cut, whose deficiency ``_certify_refusal`` has
+    re-checked.  The first refusal is the counterexample, and the verdict
+    carries no witnesses.  Since delta_G(V' u S) = delta_{G-V'}(S) + b*n,
+    some G - V' is refused exactly when some S with |S| >= n has
+    deficiency below b*n in G, the criterion the tests scan as an oracle.
 
     Explicit ``deletions`` restrict the check to chosen n-subsets, e.g.
     the deletion exhibited by the sharpness construction; optional
@@ -387,15 +394,14 @@ def check_vertex_deletion_all(
     deleted graph, which refute existence without a global scan.  Each
     chosen deletion is also decided by the double-cover flow, which must
     refuse wherever a witness violates; a refusal no witness explains is
-    certified by the S of the flow's least minimum cut.  ``cap_n`` bounds
-    only the criterion scan of the default mode.
+    certified by the S of the flow's least minimum cut.
     """
     params = {"a": a, "b": b, "n": n}
     if deletions is None:
-        _gate(g, params, lambda: comb(g.n, n), cap_deletions, cap_n=cap_n)
-        decide = partial(_vertex_deletion_full, g, a, b, n, cap_n)
+        _gate(g, params, lambda: comb(g.n, n), cap_deletions)
+        decide = partial(_vertex_deletion_full, g, a, b, n)
     else:
-        _check_params(params)
+        _gate(g, params, cap_deletions=cap_deletions)
         specs, witness_sets = _targeted_inputs(g, n, deletions, witnesses)
         decide = partial(_vertex_deletion_targeted, g, a, b, specs, witness_sets)
     premises = theorem_premises("A", g, a=a, b=b, n=n)
@@ -405,16 +411,14 @@ def check_vertex_deletion_all(
     )
 
 
-def _vertex_deletion_full(g, a, b, n, cap_n):
-    direct_failure = _first_counterexample(g, _vertex_deletions(g, n), a, b)
-    violation = scan_deficiency(g, a, b, bound=b * n, min_size=n, cap_n=cap_n)
-    if (direct_failure is None) != (violation is None):
-        raise RuntimeError(
-            "direct and criterion routes disagree on vertex deletions; "
-            f"direct={direct_failure}, criterion={violation}"
-        )
-    witnesses = (violation.s,) if violation is not None and violation.s else ()
-    return direct_failure is None, direct_failure, witnesses
+def _vertex_deletion_full(g, a, b, n):
+    for spec in _vertex_deletions(g, n):
+        res = delete(g, spec)
+        cert = find_ab_factor(res.graph, a, b)
+        if not cert.exists:
+            refusal = _lifted_refusal(cert.violation, res.original_labels)
+            return False, Counterexample(spec, refusal), ()
+    return True, None, ()
 
 
 def _targeted_inputs(g, n, deletions, witnesses):
@@ -447,12 +451,7 @@ def _vertex_deletion_targeted(g, a, b, specs, witness_sets):
             d = delta(res.graph, s_local, a, b)
             if d < 0:
                 viol = FactorViolation(s_local, low_set(res.graph, s_local, a), d, 0)
-                refuted = Counterexample(
-                    spec,
-                    FactorCertificate(
-                        False, violation=_lift_violation(viol, res.original_labels)
-                    ),
-                )
+                refuted = Counterexample(spec, _lifted_refusal(viol, res.original_labels))
                 break
         s = min_cut_set(res.graph, (a,) * res.graph.n, (b,) * res.graph.n)
         if refuted is None:

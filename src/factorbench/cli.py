@@ -6,15 +6,14 @@ output is JSON (certificates, verdicts, reports) plus CSV summaries.
 
 Exit codes: 0 = positive verdict / verified, 1 = negative verdict or
 counterexample, 2 = usage, parse, or config error, 3 = enumeration cap
-exceeded: a deletion family over ``--cap-deletions``, or the subset scan
-of ``avoid --mode vertices`` over ``--cap-n``.  FACTORBENCH_CAP_N and
-FACTORBENCH_CAP_DELETIONS set the default enumeration caps.
+exceeded: a deletion family over ``--cap-deletions``, whose default
+FACTORBENCH_CAP_DELETIONS sets.  No subcommand scans subsets, so none
+takes a vertex cap; only campaigns bound D1's scan, by ``cap_n``.
 
 The parser is built once per process, on the first `main` call.  The cap
-variables are read on every call, so a changed variable takes effect on
+variable is read on every call, so a changed variable takes effect on
 the next in-process call, and a non-integer or negative variable exits 2
-on every subcommand; a negative ``--cap-n`` or ``--cap-deletions`` exits
-2 as well.
+on every subcommand; a negative ``--cap-deletions`` exits 2 as well.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .avoidance import DEFAULT_CAP_DELETIONS, DEFAULT_CAP_N, THEOREMS, extremal_sharpness
+from .avoidance import DEFAULT_CAP_DELETIONS, THEOREMS, extremal_sharpness
 from .campaign import CampaignConfig, run_campaign
 from .errors import CapExceeded, GraphFormatError
 from .factors import _peel_stars, check_ab_factor, find_ab_factor
@@ -40,37 +39,32 @@ EXIT_ERROR = 2
 EXIT_RESOURCE = 3
 
 
-# (parser dest, environment variable, default) of each enumeration cap
-_CAPS = (
-    ("cap_n", "FACTORBENCH_CAP_N", DEFAULT_CAP_N),
-    ("cap_deletions", "FACTORBENCH_CAP_DELETIONS", DEFAULT_CAP_DELETIONS),
-)
+_CAP_VARIABLE = "FACTORBENCH_CAP_DELETIONS"
 
 
-def _env_cap(name: str, default: int) -> int:
-    value = os.environ.get(name)
+def _env_cap() -> int:
+    value = os.environ.get(_CAP_VARIABLE)
     if value is None:
-        return default
+        return DEFAULT_CAP_DELETIONS
     try:
         cap = int(value)
     except ValueError:
         raise ValueError(
-            f"environment variable {name} must be an integer, got {value!r}"
+            f"environment variable {_CAP_VARIABLE} must be an integer, got {value!r}"
         ) from None
     if cap < 0:
-        raise ValueError(f"environment variable {name} must be >= 0, got {cap}")
+        raise ValueError(f"environment variable {_CAP_VARIABLE} must be >= 0, got {cap}")
     return cap
 
 
-def _resolve_caps(args, env_caps: dict) -> None:
-    """Give each cap flag that ``args`` has and the command line left unset
-    its environment value, and refuse a negative one."""
-    for dest, cap in env_caps.items():
-        flag = getattr(args, dest, cap)
-        if flag is None:
-            setattr(args, dest, cap)
-        elif flag < 0:
-            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {flag}")
+def _resolve_cap(args, env_cap: int) -> None:
+    """Give ``--cap-deletions``, where ``args`` has it and the command line
+    left it unset, its environment value, and refuse a negative one."""
+    flag = getattr(args, "cap_deletions", env_cap)
+    if flag is None:
+        args.cap_deletions = env_cap
+    elif flag < 0:
+        raise ValueError(f"--cap-deletions must be >= 0, got {flag}")
 
 
 def _read_lines(path: str | None):
@@ -135,7 +129,7 @@ def cmd_avoid(args) -> int:
         u, _, v = params["edge"].partition(",")
         params["edge"] = (int(u), int(v))
     g = _first_graph(args.input)
-    verdict = row.run(g, params, cap_n=args.cap_n, cap_deletions=args.cap_deletions)
+    verdict = row.run(g, params, cap_deletions=args.cap_deletions)
     _print_json(verdict.to_json_dict())
     return EXIT_OK if verdict.conclusion_holds else EXIT_NEGATIVE
 
@@ -221,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="star size bound (edges mode)")
     p.add_argument("--n", type=int, help="number of deleted objects")
     p.add_argument("--edge", help="single edge as 'u,v' (edge mode)")
-    p.add_argument("--cap-n", type=int,
-                   help="max vertices for the subset scan (vertices mode)")
     p.add_argument("--cap-deletions", type=int,
                    help="max enumerated deletions per instance")
     p.set_defaults(func=cmd_avoid)
@@ -247,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        env_caps = {dest: _env_cap(name, default) for dest, name, default in _CAPS}
+        env_cap = _env_cap()
         args = build_parser().parse_args(argv)
-        _resolve_caps(args, env_caps)
+        _resolve_cap(args, env_cap)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,8 @@ search (``matching``), whose odd components are recounted here.
 ``find_ab_factor`` builds every explicit factor, star forests included: by
 rounding the flow for a < b, and by blossom matching for a = b, whose
 refusal carries no certificate.  The one subset scan of the criterion,
-``deficient_sets``, serves only as an oracle: A's cross-check and the pure
-scan statement D1 reach it through ``scan_deficiency``.  This module also
+``deficient_sets``, serves only the pure scan statement D1 and the tests,
+as an oracle, through ``scan_deficiency``.  This module also
 houses an exhaustive oracle kept independent of every route and the
 maximal-independent-set / covering-set pairs of the deficiency
 lower-bound arguments, built by one greedy pass in class order.

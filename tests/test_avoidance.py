@@ -47,9 +47,20 @@ from factorbench.factors import (
     find_ab_factor,
     find_star_factor,
     low_set,
+    scan_deficiency,
 )
 from factorbench.toughness import threshold
 from oracles import first_rho_violation
+
+
+def local_certificate(g, ce):
+    """The deleted graph of a vertex-deletion counterexample, and its
+    certificate relabelled from G to that graph."""
+    res = delete_vertices(g, ce.deletion.members)
+    index = {old: new for new, old in enumerate(res.original_labels)}
+    s, t, d, bound = ce.certificate.violation
+    local = FactorViolation(tuple(index[x] for x in s), tuple(index[x] for x in t), d, bound)
+    return res.graph, FactorCertificate(False, violation=local)
 
 
 def all_graphs(n):
@@ -79,18 +90,26 @@ def test_vertex_deletion_counterexample_re_verifies():
     g = cycle_graph(6)
     verdict = check_vertex_deletion_all(g, 2, 3, 1)
     assert not verdict.conclusion_holds
-    ce = verdict.counterexample
-    res = delete_vertices(g, ce.deletion.members)
-    index = {old: new for new, old in enumerate(res.original_labels)}
-    s_local = [index[v] for v in ce.certificate.violation.s]
-    assert delta(res.graph, s_local, 2, 3) == ce.certificate.violation.delta < 0
+    g_del, cert = local_certificate(g, verdict.counterexample)
+    assert cert.verify(g_del, 2, 3)
 
 
 def test_vertex_deletion_routes_and_caps():
     with pytest.raises(CapExceeded):
         check_vertex_deletion_all(complete_graph(6), 2, 3, 1, cap_deletions=3)
-    with pytest.raises(CapExceeded):
-        check_vertex_deletion_all(Graph(14), 1, 2, 1, cap_n=12)
+    # no subset is scanned, so full mode answers above 12 vertices: the
+    # empty graph minus vertex 0 is refused at S = {}, where its 13
+    # vertices are all low
+    verdict = check_vertex_deletion_all(Graph(14), 1, 2, 1)
+    assert not verdict.conclusion_holds and verdict.witnesses == ()
+    ce = verdict.counterexample
+    assert ce.deletion.members == (0,)
+    assert ce.certificate.violation == FactorViolation((), tuple(range(1, 14)), -13, 0)
+    g_del, cert = local_certificate(Graph(14), ce)
+    assert cert.verify(g_del, 1, 2)
+    # and takes no vertex cap
+    with pytest.raises(TypeError, match="cap_n"):
+        check_vertex_deletion_all(Graph(14), 1, 2, 1, cap_n=16)
 
 
 def test_vertex_deletion_validates_parameters():
@@ -429,18 +448,28 @@ def test_edge_avoiding_matches_oracle_and_reference_scan(case):
         assert_rho_violation(g, e, a, b, verdict.counterexample.certificate)
 
 
+# Lemma H and full-mode A take every answer from find_ab_factor, so a
+# tampered flow must be caught in both: on K4 - 01, and on K5 - 0 = K4
+DECIDED_BY_FIND = (
+    lambda: check_edge_avoiding(complete_graph(4), (0, 1), 2, 3),
+    lambda: check_vertex_deletion_all(complete_graph(5), 2, 3, 1),
+)
+
+
 def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
-    # K4 - e refused at S = {}, where nothing is deficient
+    # refused at S = {}, where nothing is deficient
     monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (None, ()))
-    with pytest.raises(RuntimeError, match="routes disagree"):
-        check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
+    for check in DECIDED_BY_FIND:
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            check()
 
 
 def test_edge_avoiding_rejects_an_invalid_direct_factor(monkeypatch):
-    # the avoided edge alone; find_ab_factor re-verifies what the flow built
+    # the edge 01 alone; find_ab_factor re-verifies what the flow built
     monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (((0, 1),), None))
-    with pytest.raises(RuntimeError, match="fails verification"):
-        check_edge_avoiding(complete_graph(4), (0, 1), 2, 3)
+    for check in DECIDED_BY_FIND:
+        with pytest.raises(RuntimeError, match="fails verification"):
+            check()
 
 
 # -- theorem E ---------------------------------------------------------------------------
@@ -470,8 +499,9 @@ def test_theorem_e_proof_step_single_vertex_sets():
 @pytest.mark.parametrize(
     "g, check, match",
     [
-        (complete_graph(7), lambda g: check_vertex_deletion_all(g, 2, 3, 1, cap_n=6),
-         "capped at 6 vertices, got 7"),
+        # full-mode A scans no subsets, so only its C(20,1) deletions stop K20
+        (complete_graph(20), lambda g: check_vertex_deletion_all(g, 2, 3, 1, cap_deletions=19),
+         "20 deletions exceed the cap of 19"),
         # K7 has 21 edges, each a 1-matching
         (complete_graph(7), lambda g: check_edge_deletion_star(g, 2, 1, cap_deletions=20),
          "21 deletions exceed the cap of 20"),
@@ -507,9 +537,32 @@ def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
         check(g)
 
 
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (lambda g: check_vertex_deletion_all(g, 2, 3, 1, cap_deletions=-5), "cap_deletions"),
+        (lambda g: check_vertex_deletion_all(g, 2, 3, 1, deletions=[(0,)], cap_deletions=-5),
+         "cap_deletions"),
+        (lambda g: check_edge_deletion_star(g, 2, 1, cap_deletions=-5), "cap_deletions"),
+        (lambda g: check_matching_deletion(g, 2, 3, 1, cap_deletions=-5), "cap_deletions"),
+        (lambda g: check_theorem_D(g, 2, 3, 1, cap_deletions=-5), "cap_deletions"),
+        (lambda g: check_theorem_E(g, 2, 3, cap_deletions=-5), "cap_deletions"),
+        (lambda g: check_lemma_D1(g, 2, 3, 1, 2, cap_n=-5), "cap_n"),
+    ],
+    ids=["A-full", "A-targeted", "B", "C", "D", "E", "D1"],
+)
+def test_negative_cap_is_refused_before_premises(monkeypatch, check, name):
+    def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("premises evaluated before the cap was refused")
+
+    monkeypatch.setattr(avoidance, "theorem_premises", no_premise_work)
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -5"):
+        check(complete_graph(5))
+
+
 def test_deletion_checks_answer_beyond_the_subset_cap():
-    # only A's full mode and D1 scan subsets; every other refusal is
-    # certified by its flow, at any order
+    # only D1 scans subsets; every other refusal is certified by its
+    # flow, at any order
     claw = star_graph(19)
     for verdict in (
         check_edge_deletion_star(claw, 2, 1),
@@ -531,6 +584,7 @@ def test_deletion_checks_answer_beyond_the_subset_cap():
         check_matching_deletion(g, 2, 3, 1, cap_deletions=1000),
         check_theorem_D(g, 2, 3, 1),
         check_edge_avoiding(g, g.edges[0], 2, 3),
+        check_vertex_deletion_all(g, 2, 3, 1),
     ):
         assert verdict.outcome == "verified"
 
@@ -797,17 +851,36 @@ def test_theorem_premises_unknown_tag():
         theorem_premises("Z", complete_graph(3), a=1, b=2, n=1)
 
 
-# -- route agreement over a corpus ------------------------------------------------------------
+# -- the subset scan as A's oracle ------------------------------------------------------------
 
 
-def test_vertex_deletion_route_agreement_random():
-    for seed in range(30):
-        g = generate_random(7, Fraction(3, 5), seed)
-        # both routes are executed and compared inside; completing without
-        # a RuntimeError is the agreement check
-        verdict = check_vertex_deletion_all(g, 2, 3, 1)
-        if verdict.conclusion_holds:
-            assert verdict.counterexample is None
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(
+        generate_random,
+        st.integers(1, 9),
+        st.fractions(0, 1, max_denominator=20),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.sampled_from([(1, 2), (2, 3), (2, 4)]),
+    st.integers(1, 2),
+)
+@example(Graph(4, [(0, 3), (1, 3), (2, 3)]), (1, 2), 1)  # only the last G - v refuses
+def test_vertex_deletion_matches_the_subset_scan(g, ab, n):
+    # the exponential scan is A's oracle: some G - V' is refused exactly
+    # when some S with |S| >= n has deficiency below b*n in G
+    a, b = ab
+    verdict = check_vertex_deletion_all(g, a, b, n)
+    assert verdict.conclusion_holds == (
+        scan_deficiency(g, a, b, bound=b * n, min_size=n) is None
+    )
+    assert verdict.witnesses == ()
+    if not verdict.conclusion_holds:
+        ce = verdict.counterexample
+        g_del, cert = local_certificate(g, ce)
+        assert cert.verify(g_del, a, b)
+        v_and_s = ce.deletion.members + ce.certificate.violation.s
+        assert delta(g, v_and_s, a, b) < b * n
 
 
 def test_verdict_json_shape():

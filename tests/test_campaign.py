@@ -369,3 +369,20 @@ def test_campaign_runs_the_check_bound_on_avoidance(monkeypatch):
     assert report.aggregates["total"] == report.aggregates["verified"] == len(calls) > 0
     assert {c[:4] for c in calls} == {(2, 3, 1, 2), (2, 3, 1, 3)}
     assert {tuple(c[4]) for c in calls} == {("cap_n",)}
+
+
+def test_campaign_gives_full_mode_a_only_the_deletion_cap(monkeypatch):
+    import factorbench.avoidance as avoidance
+    from factorbench.avoidance import AvoidanceVerdict
+
+    calls = []
+
+    def fake_check(g, a, b, n, **limits):
+        calls.append((a, b, n, sorted(limits)))
+        return AvoidanceVerdict("A", {}, (), True, None)
+
+    monkeypatch.setattr(avoidance, "check_vertex_deletion_all", fake_check)
+    report = run_campaign(small_config(theorems=("A",)))
+    assert report.aggregates["total"] == report.aggregates["verified"] == len(calls) > 0
+    assert {c[:3] for c in calls} == {(1, 2, 1)}
+    assert {tuple(c[3]) for c in calls} == {("cap_deletions",)}

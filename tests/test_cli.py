@@ -178,7 +178,7 @@ def test_avoid_missing_parameter_is_usage_error(tmp_path, capsys):
     assert err == "error: avoid --mode vertices requires --n\n"
 
 
-CAP_VARIABLES = ("FACTORBENCH_CAP_N", "FACTORBENCH_CAP_DELETIONS")
+CAP_VARIABLES = ("FACTORBENCH_CAP_DELETIONS",)
 # subcommands that take no cap flag still read the cap variables
 CAPLESS_ARGVS = (
     ["toughness", "-"],
@@ -223,12 +223,7 @@ def test_cap_variable_is_read_on_every_call(capsys, monkeypatch):
 
 
 NEGATIVE_CAPS = {
-    "flag-cap-n": (["--cap-n", "-1"], {}, "--cap-n must be >= 0, got -1"),
     "flag-cap-deletions": (["--cap-deletions", "-5"], {}, "--cap-deletions must be >= 0, got -5"),
-    "env-cap-n": (
-        [], {"FACTORBENCH_CAP_N": "-3"},
-        "environment variable FACTORBENCH_CAP_N must be >= 0, got -3",
-    ),
     "env-cap-deletions": (
         [], {"FACTORBENCH_CAP_DELETIONS": "-5"},
         "environment variable FACTORBENCH_CAP_DELETIONS must be >= 0, got -5",
@@ -365,14 +360,25 @@ def test_cap_deletions_is_refused_where_it_is_never_read(argv, capsys):
     [
         ["factor", "-", "--a", "1", "--b", "2", "--cap-n", "5"],
         ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1", "--cap-n", "5"],
+        ["avoid", "-", "--mode", "vertices", "--a", "2", "--b", "3", "--n", "1", "--cap-n", "5"],
     ],
-    ids=["factor", "extremal"],
+    ids=["factor", "extremal", "avoid"],
 )
 def test_cap_n_is_refused_where_no_subset_is_scanned(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap-n 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["twelve", "-3"])
+def test_cap_n_variable_is_not_read(capsys, monkeypatch, value):
+    # nothing in the CLI scans subsets, so the variable bounds nothing
+    monkeypatch.setenv("FACTORBENCH_CAP_N", value)
+    argv = ["avoid", "-", "--mode", "vertices", "--a", "2", "--b", "3", "--n", "1"]
+    # K16: full-mode A answers beyond the old 12-vertex cap
+    code, out, err = run_cli(capsys, argv, stdin="O~~~~~~~~~~~~~~~~~~~~\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "") and json.loads(out)["outcome"] == "verified"
 
 
 def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
