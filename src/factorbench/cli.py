@@ -13,7 +13,10 @@ takes a vertex cap; only campaigns bound D1's scan, by ``cap_n``.
 The parser is built once per process, on the first `main` call.  The cap
 variable is read on every call, so a changed variable takes effect on
 the next in-process call, and a non-integer or negative variable exits 2
-on every subcommand; a negative ``--cap-deletions`` exits 2 as well.
+on every subcommand; a negative ``--cap-deletions`` exits 2 as well.  Any
+other set FACTORBENCH_CAP_* variable, such as the retired vertex cap,
+exits 2 on every subcommand too, as an unknown flag does, rather than
+being silently ignored.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ _CAP_VARIABLE = "FACTORBENCH_CAP_DELETIONS"
 
 
 def _env_cap() -> int:
+    for name in sorted(os.environ):
+        if name.startswith("FACTORBENCH_CAP_") and name != _CAP_VARIABLE:
+            raise ValueError(
+                f"environment variable {name} is not read; {_CAP_VARIABLE} is the only cap"
+            )
     value = os.environ.get(_CAP_VARIABLE)
     if value is None:
         return DEFAULT_CAP_DELETIONS

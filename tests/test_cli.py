@@ -178,7 +178,15 @@ def test_avoid_missing_parameter_is_usage_error(tmp_path, capsys):
     assert err == "error: avoid --mode vertices requires --n\n"
 
 
-CAP_VARIABLES = ("FACTORBENCH_CAP_DELETIONS",)
+CAP_VARIABLES = ("FACTORBENCH_CAP_N", "FACTORBENCH_CAP_DELETIONS")
+# the retired vertex-cap variable is refused whatever its value, like an unknown flag
+RETIRED = "environment variable FACTORBENCH_CAP_N is not read; FACTORBENCH_CAP_DELETIONS is the only cap"
+
+
+def cap_variable_error(name, complaint):
+    return RETIRED if name == "FACTORBENCH_CAP_N" else f"environment variable {name} {complaint}"
+
+
 # subcommands that take no cap flag still read the cap variables
 CAPLESS_ARGVS = (
     ["toughness", "-"],
@@ -199,7 +207,7 @@ def test_non_integer_cap_variable_is_usage_error(capsys, monkeypatch, name, argv
     monkeypatch.setenv(name, "twelve")
     code, out, err = run_cli(capsys, argv, stdin="", monkeypatch=monkeypatch)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: environment variable {name} must be an integer")
+    assert err.startswith(f"error: {cap_variable_error(name, 'must be an integer')}")
 
 
 def test_parser_is_built_once():
@@ -223,11 +231,14 @@ def test_cap_variable_is_read_on_every_call(capsys, monkeypatch):
 
 
 NEGATIVE_CAPS = {
+    # avoid has no --cap-n flag any more, so argparse refuses it (message None)
+    "flag-cap-n": (["--cap-n", "-1"], {}, None),
     "flag-cap-deletions": (["--cap-deletions", "-5"], {}, "--cap-deletions must be >= 0, got -5"),
     "env-cap-deletions": (
         [], {"FACTORBENCH_CAP_DELETIONS": "-5"},
         "environment variable FACTORBENCH_CAP_DELETIONS must be >= 0, got -5",
     ),
+    "env-cap-n": ([], {"FACTORBENCH_CAP_N": "-3"}, RETIRED),
 }
 
 
@@ -245,8 +256,15 @@ def test_negative_cap_is_usage_error_before_any_work(capsys, monkeypatch, case, 
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv = ["avoid", "-", "--mode", mode, "--a", "2", "--b", "3", "--n", "1"] + flags
-    code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    if message is None:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --cap-n -1\n")
+    else:
+        code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name", CAP_VARIABLES)
@@ -262,7 +280,7 @@ def test_negative_cap_variable_is_usage_error_on_every_subcommand(capsys, monkey
     for argv in CAPLESS_ARGVS:
         code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
         assert (code, out) == (2, ""), argv
-        assert err == f"error: environment variable {name} must be >= 0, got -3\n"
+        assert err == f"error: {cap_variable_error(name, 'must be >= 0, got -3')}\n"
 
 
 @pytest.mark.parametrize(
@@ -371,13 +389,20 @@ def test_cap_n_is_refused_where_no_subset_is_scanned(argv, capsys):
     assert "unrecognized arguments: --cap-n 5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["twelve", "-3"])
-def test_cap_n_variable_is_not_read(capsys, monkeypatch, value):
-    # nothing in the CLI scans subsets, so the variable bounds nothing
-    monkeypatch.setenv("FACTORBENCH_CAP_N", value)
+def test_unread_cap_variable_is_refused(capsys, monkeypatch):
+    # a misspelled cap variable would otherwise leave the default cap in force unnoticed
+    monkeypatch.setenv("FACTORBENCH_CAP_DELETION", "1")
     argv = ["avoid", "-", "--mode", "vertices", "--a", "2", "--b", "3", "--n", "1"]
-    # K16: full-mode A answers beyond the old 12-vertex cap
-    code, out, err = run_cli(capsys, argv, stdin="O~~~~~~~~~~~~~~~~~~~~\n", monkeypatch=monkeypatch)
+    k16 = "O~~~~~~~~~~~~~~~~~~~~\n"
+    code, out, err = run_cli(capsys, argv, stdin=k16, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: environment variable FACTORBENCH_CAP_DELETION is not read; "
+        "FACTORBENCH_CAP_DELETIONS is the only cap\n"
+    )
+    # with it unset, full-mode A answers K16, beyond the old 12-vertex cap
+    monkeypatch.delenv("FACTORBENCH_CAP_DELETION")
+    code, out, err = run_cli(capsys, argv, stdin=k16, monkeypatch=monkeypatch)
     assert (code, err) == (0, "") and json.loads(out)["outcome"] == "verified"
 
 
