@@ -11,6 +11,10 @@ the one statement that scans subsets, takes ``cap_n``.  A factor the flow
 builds is re-verified, and wherever an independent criterion route
 exists alongside the direct route, the two must agree; a disagreement is
 a bug, not a verdict.
+
+``extremal_sharpness`` is not such a check: it decides only the
+conclusion of targeted A on the sharpness construction, with the same
+witness/flow cross-check, and evaluates no premise.
 """
 
 from __future__ import annotations
@@ -470,17 +474,21 @@ def _vertex_deletion_targeted(g, a, b, specs, witness_sets):
 
 def extremal_sharpness(
     m: int, a: int, b: int, n: int
-) -> tuple[ExtremalWitness, Fraction, AvoidanceVerdict]:
+) -> tuple[ExtremalWitness, Fraction, Counterexample | None]:
     """The sharpness construction for A: H(m,a,b,n), the toughness
-    threshold of A at (a, b, n), and targeted A on H's default deletion V0
-    with its small clique as the witness, which must refute the factor."""
+    threshold of A at (a, b, n), and the refutation of an [a,b]-factor of
+    H - V0 for H's default deletion V0, or None when there is none.
+
+    Only the conclusion of targeted A is decided: the small clique is
+    evaluated as the witness in H - V0, and the double-cover flow must
+    refuse wherever it violates, so a disagreement raises.  No premise is
+    evaluated; I(H) < threshold is what the construction shows, and the
+    witness ratio bounds it from above.  A campaign's extremal rows run
+    ``check_vertex_deletion_all`` and record the premises."""
     w = build_extremal_H(m, a, b, n)
-    verdict = check_vertex_deletion_all(
-        w.graph, a, b, n,
-        deletions=[w.default_v0()],
-        witnesses=[w.clique_small],
-    )
-    return w, threshold("A", a=a, b=b, n=n), verdict
+    specs, witness_sets = _targeted_inputs(w.graph, n, [w.default_v0()], [w.clique_small])
+    _, counterexample, _ = _vertex_deletion_targeted(w.graph, a, b, specs, witness_sets)
+    return w, threshold("A", a=a, b=b, n=n), counterexample
 
 
 # -- edge deletion (star factors) ---------------------------------------------------

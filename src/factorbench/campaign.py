@@ -27,13 +27,15 @@ from .avoidance import (
     DEFAULT_CAP_N,
     THEOREMS,
     _check_params,
-    extremal_sharpness,
+    check_vertex_deletion_all,
     theorem_premises,
 )
 from .errors import CapExceeded
 from .graphs import (
-    GRAPH6_MAX_N, emit_graph6, extremal_order, generate_random, parse_graph6,
+    GRAPH6_MAX_N, build_extremal_H, emit_graph6, extremal_order, generate_random,
+    parse_graph6,
 )
+from .toughness import threshold
 
 
 class Cell(NamedTuple):
@@ -288,7 +290,11 @@ def _evaluate_instance(payload: dict) -> dict:
 
 def _evaluate_extremal(index: int, quad) -> dict:
     m, a, b, n = quad
-    w, thr, verdict = extremal_sharpness(m, a, b, n)
+    w = build_extremal_H(m, a, b, n)
+    verdict = check_vertex_deletion_all(
+        w.graph, a, b, n, deletions=[w.default_v0()], witnesses=[w.clique_small]
+    )
+    thr = threshold("A", a=a, b=b, n=n)
     row = {
         "index": index,
         "theorem": "A",

@@ -75,6 +75,17 @@ def _resolve_cap(args, env_cap: int) -> None:
         raise ValueError(f"--cap-deletions must be >= 0, got {flag}")
 
 
+def _edge(text: str) -> tuple[int, int]:
+    """The ``--edge`` value 'u,v' as two integers."""
+    try:
+        u, v = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two integers as 'u,v', got {text!r}"
+        ) from None
+    return u, v
+
+
 def _read_lines(path: str | None):
     if path in (None, "-"):
         return sys.stdin.read().splitlines()
@@ -133,9 +144,6 @@ def cmd_avoid(args) -> int:
     if missing:
         raise ValueError(f"avoid --mode {args.mode} requires {', '.join(missing)}")
     params = {p: getattr(args, p) for p in row.params}
-    if "edge" in params:
-        u, _, v = params["edge"].partition(",")
-        params["edge"] = (int(u), int(v))
     g = _first_graph(args.input)
     verdict = row.run(g, params, cap_deletions=args.cap_deletions)
     _print_json(verdict.to_json_dict())
@@ -149,8 +157,7 @@ def cmd_extremal(args) -> int:
             f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, "
             f"H({args.m},{args.a},{args.b},{args.n}) has {order}"
         )
-    w, thr, verdict = extremal_sharpness(args.m, args.a, args.b, args.n)
-    refutation = verdict.counterexample
+    w, thr, refutation = extremal_sharpness(args.m, args.a, args.b, args.n)
     cert = refutation.certificate.violation if refutation is not None else None
     payload = {
         "params": {"m": args.m, "a": args.a, "b": args.b, "n": args.n},
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int)
     p.add_argument("--m", type=int, help="star size bound (edges mode)")
     p.add_argument("--n", type=int, help="number of deleted objects")
-    p.add_argument("--edge", help="single edge as 'u,v' (edge mode)")
+    p.add_argument("--edge", type=_edge, help="single edge as 'u,v' (edge mode)")
     p.add_argument("--cap-deletions", type=int,
                    help="max enumerated deletions per instance")
     p.set_defaults(func=cmd_avoid)

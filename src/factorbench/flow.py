@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
@@ -110,7 +110,7 @@ def ab_factor(
     for u in range(n):
         while half[u]:
             walk(u, factor[u].bit_count() + half[u].bit_count() // 2 < b)
-    return tuple((u, v) for u, v in g.edges if factor[u] >> v & 1), None
+    return tuple((u, v) for u in range(n) for v in _bits(factor[u] >> u + 1 << u + 1)), None
 
 
 def _uniform_bounds(n: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -193,6 +193,9 @@ def test_targeted_mode_witness_against_flow_raises(monkeypatch):
         check_vertex_deletion_all(
             w.graph, 2, 3, 1, deletions=[w.default_v0()], witnesses=[w.clique_small]
         )
+    # `extremal` decides through the same cross-check
+    with pytest.raises(RuntimeError, match="witness claims a violation"):
+        avoidance.extremal_sharpness(1, 2, 3, 1)
 
 
 def test_verdict_invariant_survives_optimised_mode():

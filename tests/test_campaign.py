@@ -178,7 +178,8 @@ def test_config_refuses_a_negative_cap_before_any_work(monkeypatch, key):
     def no_work(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("premise or deletion work ran for an invalid config")
 
-    for work in ("generate_random", "theorem_premises", "extremal_sharpness"):
+    for work in ("generate_random", "theorem_premises", "build_extremal_H",
+                 "check_vertex_deletion_all"):
         monkeypatch.setattr(campaign, work, no_work)
     for row in avoidance.THEOREMS.values():
         monkeypatch.setattr(avoidance, row.check, no_work)
@@ -290,6 +291,12 @@ def test_campaign_extremal_rows_are_expected_failures():
     assert row["conclusion"] is False
     assert row["sharpness"]["strictly_below"] is True
     assert row["sharpness"]["witness_ratio"] == "9/4"
+    # the row still records the premises that `extremal` leaves out
+    assert row["premises"] == {
+        "min_degree": {"holds": False, "detail": "min degree 2 < 3"},
+        "toughness": {"holds": False, "detail": "I(G) = 5/4 < 7/3 (threshold A)"},
+    }
+    assert row["witnesses"] == [[0]]
     assert report.counterexamples == []  # not counted as counterexamples
 
 

@@ -123,6 +123,23 @@ def test_avoid_edge_mode(tmp_path, capsys):
     assert payload["counterexample"]["certificate"]["S"] == []
 
 
+@pytest.mark.parametrize("edge", ["0", "0,1,2", "a,b"])
+def test_avoid_malformed_edge_is_usage_error(capsys, monkeypatch, edge):
+    argv = ["avoid", "-", "--mode", "edge", "--edge", edge, "--a", "2", "--b", "3"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument --edge: expected two integers as 'u,v', got {edge!r}\n")
+    assert "Traceback" not in err
+
+
+def test_avoid_edge_outside_the_graph_is_usage_error(capsys, monkeypatch):
+    argv = ["avoid", "-", "--mode", "edge", "--edge", "0,9", "--a", "2", "--b", "3"]
+    code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: (0, 9) is not an edge of the graph\n")
+
+
 def test_avoid_matching_mode_verified(tmp_path, capsys):
     path = tmp_path / "k6.g6"
     path.write_text(emit_graph6(complete_graph(6)) + "\n")
@@ -343,19 +360,47 @@ def test_extremal_subcommand(capsys):
     assert payload["violation"]["S"] == [0]
 
 
-# sha256 of the 604-byte stdout of `extremal --m 1 --a 2 --b 3 --n 1`;
-# extremal reads no budget, so `--budget` must not change it
+# sha256 of the 604-byte stdout of `extremal --m 1 --a 2 --b 3 --n 1`
+# and of the 1,457-byte stdout of `extremal --m 3 --a 3 --b 4 --n 1`;
+# extremal reads no budget, so `--budget` must not change them
 EXTREMAL_1231_SHA256 = "d977582ae52d71bce3774913fd2453ce8096d3f8cebbee1e585382f623c78da1"
+EXTREMAL_3341_SHA256 = "dcb42061ab92f9f3ae499e1a72d9f89190e9370cb384bf81974c29b43a362354"
+
+def extremal_argv(m, a, b, n):
+    return ["extremal", "--m", str(m), "--a", str(a), "--b", str(b), "--n", str(n)]
 
 
 def test_extremal_output_bytes_are_pinned(capsys):
     import hashlib
 
-    argv = ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"]
-    for extra in ([], ["--budget", "1"]):
-        code, out, _ = run_cli(capsys, argv + extra)
+    pins = [((1, 2, 3, 1), 604, EXTREMAL_1231_SHA256), ((3, 3, 4, 1), 1457, EXTREMAL_3341_SHA256)]
+    for quad, size, digest in pins:
+        for extra in ([], ["--budget", "1"]):
+            code, out, _ = run_cli(capsys, extremal_argv(*quad) + extra)
+            assert code == 0
+            assert len(out.encode()) == size
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_extremal_evaluates_no_premise(capsys, monkeypatch):
+    import factorbench.avoidance as avoidance
+    import factorbench.toughness as toughness
+
+    criterion_3 = [(m, a, b, n) for a, b, n in ((2, 3, 1), (2, 4, 2), (3, 4, 1))
+                   for m in (1, 2, 3)]
+    expected = []
+    for quad in criterion_3:
+        code, out, _ = run_cli(capsys, extremal_argv(*quad))
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == EXTREMAL_1231_SHA256
+        expected.append(out)
+
+    def no_toughness(*args, **kwargs):
+        raise AssertionError("extremal computed the isolated toughness of H")
+
+    for module in (avoidance, toughness):
+        monkeypatch.setattr(module, "isolated_toughness", no_toughness)
+    for quad, out in zip(criterion_3, expected):
+        assert run_cli(capsys, extremal_argv(*quad)) == (0, out, ""), quad
 
 
 @pytest.mark.parametrize(
@@ -413,7 +458,7 @@ def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the check ran before the size was rejected")
 
-    monkeypatch.setattr(avoidance, "check_vertex_deletion_all", no_work)
+    monkeypatch.setattr(avoidance, "_vertex_deletion_targeted", no_work)
     code, out, err = run_cli(capsys, ["extremal", "--m", "3", "--a", "3", "--b", "5", "--n", "2"])
     assert code == 2
     assert out == ""
@@ -428,11 +473,9 @@ def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
 
 def test_extremal_without_refutation_reports_negative(capsys, monkeypatch):
     import factorbench.avoidance as avoidance
-    from factorbench.avoidance import AvoidanceVerdict
 
     monkeypatch.setattr(
-        avoidance, "check_vertex_deletion_all",
-        lambda *args, **kwargs: AvoidanceVerdict("A", {}, (), True, None),
+        avoidance, "_vertex_deletion_targeted", lambda *args: (True, None, ())
     )
     code, out, _ = run_cli(capsys, ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"])
     assert code == 1
