@@ -4,13 +4,15 @@ Each check evaluates a conditional statement on a concrete graph: the
 premises (minimum degree, isolated-toughness bound, parameter ranges) are
 recorded one by one, the conclusion is verified by exhaustive enumeration
 of the deleted objects, and any failure is returned as a re-verifiable
-certificate.  Each deleted graph is decided by the double-cover flow, and
-a refusal is certified by the S of that flow's least minimum cut, whose
-deficiency is re-checked; no subset is enumerated for it, so only D1,
-the one statement that scans subsets, takes ``cap_n``.  A factor the flow
-builds is re-verified, and wherever an independent criterion route
-exists alongside the direct route, the two must agree; a disagreement is
-a bug, not a verdict.
+certificate.  Every deleted graph is decided through a public decider
+of ``factors``: ``check_ab_factor``, or ``find_ab_factor`` where a factor
+is built (full-mode A and Lemma H) and re-verified.  Either certifies a
+refusal, premise refusals included, by the S of the double-cover flow's
+least minimum cut, whose deficiency ``factors`` re-checks; no subset is
+enumerated for it, so only D1, the one statement that scans subsets,
+takes ``cap_n``.  Wherever an independent criterion route exists
+alongside the direct route, the two must agree; a disagreement is a bug,
+not a verdict.
 
 ``extremal_sharpness`` is not such a check: it decides only the
 conclusion of targeted A on the sharpness construction, with the same
@@ -28,18 +30,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .factors import (
-    DegreeBounds,
     FactorCertificate,
     FactorViolation,
-    _certify_refusal,
+    check_ab_factor,
     delta,
     find_ab_factor,
     low_set,
     scan_deficiency,
 )
-from .flow import min_cut_set
 from .graphs import (
-    DeletionSpec, DeletionResult, ExtremalWitness, Graph, build_extremal_H, delete, delete_edges,
+    DeletionSpec, ExtremalWitness, Graph, build_extremal_H, delete, delete_edges,
 )
 from .toughness import isolated_toughness, threshold
 
@@ -263,9 +263,11 @@ def theorem_premises(
 
 
 def _pair_deletion_premise(g: Graph, a: int, b: int) -> Premise:
-    refusal = _first_refusal(g, _vertex_deletions(g, 2), a, b)
+    refusal = _first_counterexample(
+        g, _vertex_deletions(g, 2), partial(check_ab_factor, a=a, b=b)
+    )
     if refusal is not None:
-        u, v = refusal[0].members
+        u, v = refusal.deletion.members
         return Premise(
             "pair_deletions", False, f"G - {{{u}, {v}}} admits no [{a},{b}]-factor"
         )
@@ -328,43 +330,25 @@ def _lifted_refusal(v: FactorViolation, labels: Sequence[int]) -> FactorCertific
     ))
 
 
-def _refusal_cert(g_del: Graph, labels, a: int, b: int, s) -> FactorCertificate:
-    """Certificate for a deleted graph without an [a,b]-factor: the
-    violation at the S of its least minimum cut, lifted to original
-    labels."""
-    return _lifted_refusal(
-        _certify_refusal(g_del, DegreeBounds.uniform(a, b, g_del.n), s), labels
-    )
-
-
 def _vertex_deletions(g: Graph, size: int) -> Iterable[DeletionSpec]:
     return (DeletionSpec.vertices(vs) for vs in combinations(range(g.n), size))
 
 
-def _first_refusal(
-    g: Graph, specs: Iterable[DeletionSpec], a: int, b: int
-) -> tuple[DeletionSpec, DeletionResult, tuple[int, ...]] | None:
-    """The first deletion, in the order given, whose deleted graph the
-    double-cover flow refuses an [a,b]-factor, with that graph and the S
-    of the refusing flow's least minimum cut, or None."""
+def _first_counterexample(
+    g: Graph, specs: Iterable[DeletionSpec], decide: Callable[[Graph], FactorCertificate]
+) -> Counterexample | None:
+    """The one refusal loop: the first deletion, in the order given, whose
+    deleted graph ``decide`` refuses, with the refusal's violation lifted
+    to the labels of G, or None.  ``decide`` is ``check_ab_factor`` or
+    ``find_ab_factor`` with a and b bound; both certify a refusal by the S
+    of the flow's least minimum cut and raise where its deficiency is not
+    negative."""
     for spec in specs:
         res = delete(g, spec)
-        n = res.graph.n
-        s = min_cut_set(res.graph, (a,) * n, (b,) * n)
-        if s is not None:
-            return spec, res, s
+        cert = decide(res.graph)
+        if not cert.exists:
+            return Counterexample(spec, _lifted_refusal(cert.violation, res.original_labels))
     return None
-
-
-def _first_counterexample(
-    g: Graph, specs: Iterable[DeletionSpec], a: int, b: int
-) -> Counterexample | None:
-    """``_first_refusal``, certified by the S of the refusing flow."""
-    refusal = _first_refusal(g, specs, a, b)
-    if refusal is None:
-        return None
-    spec, res, s = refusal
-    return Counterexample(spec, _refusal_cert(res.graph, res.original_labels, a, b, s))
 
 
 # -- vertex deletion -------------------------------------------------------------
@@ -386,8 +370,8 @@ def check_vertex_deletion_all(
     them, and decides each G - V' by ``find_ab_factor``, in polynomial
     time at any order: a factor it returns has passed
     ``FactorCertificate.verify``, and a refusal carries the S of the
-    flow's least minimum cut, whose deficiency ``_certify_refusal`` has
-    re-checked.  The first refusal is the counterexample, and the verdict
+    flow's least minimum cut, whose deficiency has been re-checked.  The
+    first refusal is the counterexample, and the verdict
     carries no witnesses.  Since delta_G(V' u S) = delta_{G-V'}(S) + b*n,
     some G - V' is refused exactly when some S with |S| >= n has
     deficiency below b*n in G, the criterion the tests scan as an oracle.
@@ -396,33 +380,27 @@ def check_vertex_deletion_all(
     the deletion exhibited by the sharpness construction; optional
     ``witnesses`` are candidate violating sets evaluated inside each
     deleted graph, which refute existence without a global scan.  Each
-    chosen deletion is also decided by the double-cover flow, which must
-    refuse wherever a witness violates; a refusal no witness explains is
-    certified by the S of the flow's least minimum cut.
+    chosen deletion is also decided by ``check_ab_factor``, which must
+    refuse wherever a witness violates; a refusal no witness explains
+    carries its certificate.
     """
     params = {"a": a, "b": b, "n": n}
     if deletions is None:
         _gate(g, params, lambda: comb(g.n, n), cap_deletions)
-        decide = partial(_vertex_deletion_full, g, a, b, n)
+        witness_sets = ()
     else:
         _gate(g, params, cap_deletions=cap_deletions)
         specs, witness_sets = _targeted_inputs(g, n, deletions, witnesses)
-        decide = partial(_vertex_deletion_targeted, g, a, b, specs, witness_sets)
     premises = theorem_premises("A", g, a=a, b=b, n=n)
-    conclusion, counterexample, witnesses_out = decide()
+    if deletions is None:
+        counterexample = _first_counterexample(
+            g, _vertex_deletions(g, n), partial(find_ab_factor, a=a, b=b)
+        )
+    else:
+        counterexample = _vertex_deletion_targeted(g, a, b, specs, witness_sets)
     return AvoidanceVerdict(
-        "A", params, premises, conclusion, counterexample, witnesses_out
+        "A", params, premises, counterexample is None, counterexample, witness_sets
     )
-
-
-def _vertex_deletion_full(g, a, b, n):
-    for spec in _vertex_deletions(g, n):
-        res = delete(g, spec)
-        cert = find_ab_factor(res.graph, a, b)
-        if not cert.exists:
-            refusal = _lifted_refusal(cert.violation, res.original_labels)
-            return False, Counterexample(spec, refusal), ()
-    return True, None, ()
 
 
 def _targeted_inputs(g, n, deletions, witnesses):
@@ -445,31 +423,29 @@ def _targeted_inputs(g, n, deletions, witnesses):
     return specs, witness_sets
 
 
-def _vertex_deletion_targeted(g, a, b, specs, witness_sets):
+def _vertex_deletion_targeted(g, a, b, specs, witness_sets) -> Counterexample | None:
+    """The first chosen deletion whose deleted graph ``check_ab_factor``
+    refuses, or None.  The refusal is certified by the first witness that
+    violates in G - V', else by the decider's S; a violating witness the
+    decider contradicts raises."""
     for spec in specs:
         res = delete(g, spec)
+        cert = check_ab_factor(res.graph, a, b)
         index = {old: new for new, old in enumerate(res.original_labels)}
-        refuted = None
         for w in witness_sets:
             s_local = tuple(index[x] for x in w)
             d = delta(res.graph, s_local, a, b)
             if d < 0:
+                if cert.exists:
+                    raise RuntimeError(
+                        "witness claims a violation but the flow decision finds a factor"
+                    )
                 viol = FactorViolation(s_local, low_set(res.graph, s_local, a), d, 0)
-                refuted = Counterexample(spec, _lifted_refusal(viol, res.original_labels))
+                cert = FactorCertificate(False, violation=viol)
                 break
-        s = min_cut_set(res.graph, (a,) * res.graph.n, (b,) * res.graph.n)
-        if refuted is None:
-            if s is not None:
-                refuted = Counterexample(
-                    spec, _refusal_cert(res.graph, res.original_labels, a, b, s)
-                )
-        elif s is None:
-            raise RuntimeError(
-                "witness claims a violation but the flow decision finds a factor"
-            )
-        if refuted is not None:
-            return False, refuted, witness_sets
-    return True, None, witness_sets
+        if not cert.exists:
+            return Counterexample(spec, _lifted_refusal(cert.violation, res.original_labels))
+    return None
 
 
 def extremal_sharpness(
@@ -487,7 +463,7 @@ def extremal_sharpness(
     ``check_vertex_deletion_all`` and record the premises."""
     w = build_extremal_H(m, a, b, n)
     specs, witness_sets = _targeted_inputs(w.graph, n, [w.default_v0()], [w.clique_small])
-    _, counterexample, _ = _vertex_deletion_targeted(w.graph, a, b, specs, witness_sets)
+    counterexample = _vertex_deletion_targeted(w.graph, a, b, specs, witness_sets)
     return w, threshold("A", a=a, b=b, n=n), counterexample
 
 
@@ -504,13 +480,13 @@ def check_edge_deletion_star(
     """Does G - E' have a spanning star forest with star sizes 1..m for
     every n-subset E' of edges?  The statement is proved for
     1 <= n <= m/2, so m >= 2 and the forest is a [1,m]-factor: each
-    G - E' is decided by the double-cover flow in the shared refusal
-    loop, and a refusal carries the S of the refusing flow."""
+    G - E' is decided by ``check_ab_factor`` in the shared refusal loop,
+    and a refusal carries the S of the refusing flow."""
     params = {"m": m, "n": n}
     _gate(g, params, lambda: comb(g.edge_count, n), cap_deletions)
     premises = theorem_premises("B", g, m=m, n=n)
     specs = map(DeletionSpec.edges, combinations(g.edges, n))
-    counterexample = _first_counterexample(g, specs, 1, m)
+    counterexample = _first_counterexample(g, specs, partial(check_ab_factor, a=1, b=m))
     return AvoidanceVerdict(
         "B", params, premises, counterexample is None, counterexample
     )
@@ -561,7 +537,9 @@ def check_matching_deletion(
     params = {"a": a, "b": b, "n": n}
     matchings = _gate(g, params, partial(_matchings, g, n), cap_deletions, "matchings")
     premises = theorem_premises("C", g, a=a, b=b, n=n)
-    counterexample = _first_counterexample(g, map(DeletionSpec.matching, matchings), a, b)
+    counterexample = _first_counterexample(
+        g, map(DeletionSpec.matching, matchings), partial(check_ab_factor, a=a, b=b)
+    )
     return AvoidanceVerdict(
         "C", params, premises, counterexample is None, counterexample
     )
@@ -613,12 +591,10 @@ def check_edge_avoiding(
     _check_params(params)  # before the edge test
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    cert = find_ab_factor(delete_edges(g, [(u, v)]), a, b)
-    if cert.exists:
-        return AvoidanceVerdict("LemmaH", params, (), True, None)
-    return AvoidanceVerdict(
-        "LemmaH", params, (), False, Counterexample(DeletionSpec.edge(u, v), cert)
+    counterexample = _first_counterexample(
+        g, [DeletionSpec.edge(u, v)], partial(find_ab_factor, a=a, b=b)
     )
+    return AvoidanceVerdict("LemmaH", params, (), counterexample is None, counterexample)
 
 
 # -- hierarchy and pair-deletion statements ----------------------------------------------
@@ -638,8 +614,8 @@ def check_theorem_D(
     params = {"a": a, "b": b, "n": n}
     _gate(g, params, lambda: comb(g.n, n) + comb(g.n, n - 1), cap_deletions)
     premises = list(theorem_premises("D", g, a=a, b=b, n=n))
-    # the antecedent is only recorded, so its refusal needs no certificate
-    antecedent_fail = _first_refusal(g, _vertex_deletions(g, n), a, b)
+    decide = partial(check_ab_factor, a=a, b=b)
+    antecedent_fail = _first_counterexample(g, _vertex_deletions(g, n), decide)
     if antecedent_fail is None:
         premises.append(
             Premise("antecedent", True, f"all {comb(g.n, n)} {n}-subset deletions admit factors")
@@ -649,10 +625,10 @@ def check_theorem_D(
             Premise(
                 "antecedent",
                 False,
-                f"G - {list(antecedent_fail[0].members)} admits no [{a},{b}]-factor",
+                f"G - {list(antecedent_fail.deletion.members)} admits no [{a},{b}]-factor",
             )
         )
-    consequent_fail = _first_counterexample(g, _vertex_deletions(g, n - 1), a, b)
+    consequent_fail = _first_counterexample(g, _vertex_deletions(g, n - 1), decide)
     return AvoidanceVerdict(
         "D",
         params,
@@ -677,7 +653,7 @@ def check_theorem_E(
     _gate(g, params, lambda: comb(g.n, 2), cap_deletions)
     premises = theorem_premises("E", g, a=a, b=b)
     counterexample = _first_counterexample(
-        g, (DeletionSpec.edge(*e) for e in g.edges), a, b
+        g, (DeletionSpec.edge(*e) for e in g.edges), partial(check_ab_factor, a=a, b=b)
     )
     return AvoidanceVerdict(
         "E", params, premises, counterexample is None, counterexample

@@ -37,6 +37,9 @@ from .graphs import (
 )
 from .toughness import threshold
 
+# the outcome counts of every ``cells`` row and of the aggregates
+OUTCOMES = ("verified", "vacuous", "counterexample", "capped")
+
 
 class Cell(NamedTuple):
     theorem: str
@@ -323,7 +326,7 @@ class CampaignReport:
     aggregates: dict = field(default_factory=dict)
 
     def finalize(self) -> None:
-        counts = {"verified": 0, "vacuous": 0, "counterexample": 0, "capped": 0}
+        counts = dict.fromkeys(OUTCOMES, 0)
         for row in self.instances:
             counts[row["outcome"]] += 1
         counts["total"] = len(self.instances)
@@ -356,16 +359,25 @@ class CampaignReport:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["cell", "draws", "rejected_premise", "kept",
-                 "verified", "vacuous", "counterexample", "capped"]
-            )
+            counts = ("draws", "rejected_premise", "kept", *OUTCOMES)
+            writer.writerow(["cell", *counts])
             for cell in self.cells:
-                writer.writerow(
-                    [cell["label"], cell["draws"], cell["rejected_premise"],
-                     cell["kept"], cell["verified"], cell["vacuous"],
-                     cell["counterexample"], cell["capped"]]
-                )
+                writer.writerow([cell["label"], *(cell[k] for k in counts)])
+
+
+def _cell_row(label: str, theorem: str, params: dict, draws: int, kept: int) -> dict:
+    """One ``cells`` row with its outcome counts at zero; every draw not
+    kept was rejected on its premises."""
+    row = {
+        "label": label,
+        "theorem": theorem,
+        "params": dict(params),
+        "draws": draws,
+        "rejected_premise": draws - kept,
+        "kept": kept,
+    }
+    row.update(dict.fromkeys(OUTCOMES, 0))
+    return row
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
@@ -378,7 +390,6 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     index = 0
     for cell in config.cells():
         draws = 0
-        rejected = 0
         kept = 0
         sizes = range(config.n_min, config.n_max + 1)
         for seed, p, ng in product(config.seed_list, config.p_list, sizes):
@@ -387,7 +398,6 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
             draws += 1
             g = generate_random(ng, p, seed)
             if not _premises_hold(cell, g, config.cap_deletions):
-                rejected += 1
                 continue
             kept += 1
             pending.append(
@@ -403,16 +413,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                 }
             )
             index += 1
-        cell_stats.append(
-            {
-                "label": cell.label(),
-                "theorem": cell.theorem,
-                "params": dict(cell.params),
-                "draws": draws,
-                "rejected_premise": rejected,
-                "kept": kept,
-            }
-        )
+        cell_stats.append(_cell_row(cell.label(), cell.theorem, cell.params, draws, kept))
 
     if workers > 1 and pending:
         # imported here: the pool machinery costs a serial run about 2.5 MiB
@@ -428,30 +429,16 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         index += 1
 
     rows.sort(key=lambda r: r["index"])
-    by_cell: dict[str, dict] = {c["label"]: c for c in cell_stats}
-    for c in cell_stats:
-        c.update({"verified": 0, "vacuous": 0, "counterexample": 0, "capped": 0})
-    extremal_stats = None
     if config.extremal:
-        extremal_stats = {
-            "label": "extremal",
-            "theorem": "A",
-            "params": {},
-            "draws": len(config.extremal),
-            "rejected_premise": 0,
-            "kept": len(config.extremal),
-            "verified": 0,
-            "vacuous": 0,
-            "counterexample": 0,
-            "capped": 0,
-        }
-        cell_stats.append(extremal_stats)
+        quads = len(config.extremal)
+        cell_stats.append(_cell_row("extremal", "A", {}, quads, quads))
+    by_label = {c["label"]: c for c in cell_stats}
     for row in rows:
         if row["expected_failure"]:
-            extremal_stats[row["outcome"]] += 1
-            continue
-        label = Cell(row["theorem"], row["params"]).label()
-        by_cell[label][row["outcome"]] += 1
+            label = "extremal"
+        else:
+            label = Cell(row["theorem"], row["params"]).label()
+        by_label[label][row["outcome"]] += 1
 
     report = CampaignReport(
         header={

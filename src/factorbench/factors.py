@@ -74,8 +74,6 @@ class FactorCertificate:
         if self.exists and self.factor_edges is not None:
             nbrs = [0] * g.n  # factor neighbours of each vertex, as masks
             for u, v in self.factor_edges:
-                if not (0 <= u < g.n and 0 <= v < g.n):
-                    return False
                 if not g.has_edge(u, v) or nbrs[u] >> v & 1:
                     return False
                 nbrs[u] |= 1 << v

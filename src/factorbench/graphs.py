@@ -106,7 +106,8 @@ class Graph:
         return min(m.bit_count() for m in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        """Whether uv is an edge; False unless both ends are vertices."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj[v]))
@@ -400,7 +401,7 @@ class DeletionSpec:
                     raise ValueError(f"vertex {v} is not a vertex of the graph")
             return
         for u, v in self.members:
-            if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+            if not g.has_edge(u, v):
                 raise ValueError(f"edge ({u}, {v}) is not an edge of the graph")
         if self.kind == "matching":
             seen: set[int] = set()

@@ -1,8 +1,11 @@
 """Avoidance checks: premises, dual routes, certificates, and the
 sharpness construction."""
 
+import ast
+import inspect
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -187,7 +190,7 @@ def test_targeted_mode_needs_no_search_budget():
 def test_targeted_mode_witness_against_flow_raises(monkeypatch):
     import factorbench.avoidance as avoidance
 
-    monkeypatch.setattr(avoidance, "min_cut_set", lambda g, lower, upper: None)
+    monkeypatch.setattr(avoidance, "check_ab_factor", lambda g, a, b: FactorCertificate(True))
     w = build_extremal_H(1, 2, 3, 1)
     with pytest.raises(RuntimeError, match="witness claims a violation"):
         check_vertex_deletion_all(
@@ -349,6 +352,14 @@ def test_rho_endpoint_in_s_is_zero():
 def test_rho_requires_an_edge():
     with pytest.raises(ValueError):
         rho(cycle_graph(4), (0, 2), [], 2, 3)
+
+
+@pytest.mark.parametrize(
+    "check", [check_edge_avoiding, partial(rho, s=())], ids=["check_edge_avoiding", "rho"]
+)
+def test_edge_outside_the_graph_is_refused(check):
+    with pytest.raises(ValueError, match=r"\(7, 8\) is not an edge of the graph"):
+        check(complete_graph(5), (7, 8), a=2, b=3)
 
 
 def test_edge_avoiding_k4_holds_and_c4_fails():
@@ -777,6 +788,57 @@ def test_refusal_loop_matches_search_reference(case):
     assert verdict_parts(check_theorem_E(g, a, b)) == (
         premises_e, expected_e is None, expected_e
     )
+
+
+@st.composite
+def deletion_cases(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = [p for p in pairs if draw(st.booleans())]
+    if draw(st.booleans()):
+        edges = [p for p in pairs if p not in edges]
+    a, b = draw(st.sampled_from([(1, 2), (2, 3), (1, 3), (2, 4)]))
+    return Graph(n, edges), a, b, draw(st.integers(1, min(2, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(deletion_cases())
+@example((cycle_graph(6), 2, 3, 1))
+def test_refusal_loop_agrees_across_deciders(case):
+    # full-mode A decides by find_ab_factor, D and E by check_ab_factor:
+    # both must name the same first refusal, S, T and deficiency
+    g, a, b, n = case
+    found, checked = (
+        avoidance._first_counterexample(g, vertex_specs(g, n), partial(decide, a=a, b=b))
+        for decide in (factors.find_ab_factor, factors.check_ab_factor)
+    )
+    assert found == checked
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda: check_theorem_D(complete_graph(6), 2, 3, 1),
+     lambda: check_theorem_E(complete_graph(6), 2, 3)],
+    ids=["D-antecedent", "E-pair-premise"],
+)
+def test_premise_refusal_passes_the_certificate_check(monkeypatch, check):
+    # a false refusal at S = {}, where nothing is deficient, in the
+    # deletions that D's antecedent and E's pair premise decide first
+    monkeypatch.setattr(factors, "min_cut_set", lambda g, lower, upper: ())
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        check()
+
+
+def test_avoidance_uses_only_public_factor_deciders():
+    tree = ast.parse(inspect.getsource(avoidance))
+    imported = [
+        ((node.module or "").rpartition(".")[2], alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert not [pair for pair in imported if "flow" in pair]
+    names = [name for module, name in imported if module == "factors"]
+    assert names and not [name for name in names if name.startswith("_")]
 
 
 TRIANGLE_WITH_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])

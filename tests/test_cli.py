@@ -140,6 +140,12 @@ def test_avoid_edge_outside_the_graph_is_usage_error(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: (0, 9) is not an edge of the graph\n")
 
 
+def test_avoid_edge_beyond_the_vertices_is_usage_error(capsys, monkeypatch):
+    argv = ["avoid", "-", "--mode", "edge", "--edge", "5,6", "--a", "2", "--b", "3"]
+    code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: (5, 6) is not an edge of the graph\n")
+
+
 def test_avoid_matching_mode_verified(tmp_path, capsys):
     path = tmp_path / "k6.g6"
     path.write_text(emit_graph6(complete_graph(6)) + "\n")
@@ -474,9 +480,7 @@ def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
 def test_extremal_without_refutation_reports_negative(capsys, monkeypatch):
     import factorbench.avoidance as avoidance
 
-    monkeypatch.setattr(
-        avoidance, "_vertex_deletion_targeted", lambda *args: (True, None, ())
-    )
+    monkeypatch.setattr(avoidance, "_vertex_deletion_targeted", lambda *args: None)
     code, out, _ = run_cli(capsys, ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"])
     assert code == 1
     payload = json.loads(out)

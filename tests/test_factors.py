@@ -26,6 +26,7 @@ from factorbench.factors import (
     FactorCertificate,
     FactorViolation,
     Star,
+    StarForest,
     _peel_stars,
     brute_force_factor,
     check_ab_factor,
@@ -661,6 +662,11 @@ def test_find_star_factor_examples():
     forest = find_star_factor(two_k2, 1)
     assert forest is not None and len(forest.stars) == 2
     forest.validate(two_k2, 1)
+
+
+def test_star_forest_with_an_absent_vertex_is_refused():
+    with pytest.raises(ValueError, match=r"\(9, 0\) is not an edge"):
+        StarForest((Star(9, (0,)),)).validate(complete_graph(3), 2)
 
 
 def test_peel_drops_an_edge_between_two_centres():

@@ -61,6 +61,11 @@ def test_graph_adjacency_is_symmetric_and_degree_consistent():
         assert g.degree(v) == len(g.neighbors(v))
 
 
+@pytest.mark.parametrize("u, v", [(5, 0), (-1, 2), (0, -1)])
+def test_has_edge_is_false_outside_the_vertex_range(u, v):
+    assert not complete_graph(5).has_edge(u, v)
+
+
 def test_graph_is_immutable():
     g = Graph(2, [(0, 1)])
     for name in ("n", "adj", "_edges", "edges"):
