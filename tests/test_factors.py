@@ -291,6 +291,42 @@ def test_gf_flow_matches_kernel_and_edge_subsets(case):
         assert d == sum(upper[x] for x in s) + sum(rest[x] - lower[x] for x in t) < 0
 
 
+@st.composite
+def graph_and_bounds_up_to_10(draw):
+    """Uniform a < b, per-vertex g < f, or g = f on a bipartite graph."""
+    n = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["uniform", "per-vertex", "bipartite"]))
+    side = [draw(st.booleans()) for _ in range(n)]
+    edges = [
+        (u, v) for u, v in combinations(range(n), 2)
+        if (kind != "bipartite" or side[u] != side[v]) and draw(st.booleans())
+    ]
+    if kind == "uniform":
+        a = draw(st.integers(0, 3))
+        lower, upper = [a] * n, [draw(st.integers(a + 1, 4))] * n
+    else:
+        lower = [draw(st.integers(0, 3)) for _ in range(n)]
+        upper = [lo + (kind == "per-vertex") * draw(st.integers(1, 2)) for lo in lower]
+    return Graph(n, edges), lower, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_bounds_up_to_10())
+def test_cut_set_is_the_least_minimiser_of_the_deficiency(case):
+    # the least minimum cut is unique, so its S is the intersection of all
+    # minimisers of the deficiency, itself one of them, whichever maximum
+    # flow the solver built
+    g, lower, upper = case
+    bounds = DegreeBounds(tuple(lower), tuple(upper))
+    value = {s: d for s, _, _, d in deficient_sets(g, bounds, bound=sum(upper) + 1)}
+    least = min(value.values())
+    s = min_cut_set(g, lower, upper)
+    assert (s is None) == (least >= 0)
+    if s is not None:
+        meet = set.intersection(*(set(x) for x, d in value.items() if d == least))
+        assert s == tuple(sorted(meet)) and value[s] == least
+
+
 def test_extremal_h_minus_v0_violates_at_small_clique():
     # the nine criterion-3 graphs, up to 57 vertices after deleting V0: the
     # flow's own cut is the small clique, with no witness given
