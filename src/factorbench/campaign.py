@@ -371,7 +371,7 @@ def _cell_row(label: str, theorem: str, params: dict, draws: int, kept: int) -> 
     row = {
         "label": label,
         "theorem": theorem,
-        "params": dict(params),
+        "params": params,
         "draws": draws,
         "rejected_premise": draws - kept,
         "kept": kept,
@@ -404,7 +404,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                 {
                     "index": index,
                     "theorem": cell.theorem,
-                    "params": dict(cell.params),
+                    "params": cell.params,  # shared by the cell's rows; read only
                     "graph6": emit_graph6(g),
                     "seed": seed,
                     "p": str(Fraction(p)),

@@ -68,9 +68,10 @@ class FactorCertificate:
 
     def verify(self, g: Graph, a: int, b: int) -> bool:
         """Re-check the certificate from scratch against ``g``.  A factor
-        must list distinct edges of ``g``, each once in either orientation,
-        and S must name vertices of ``g``; anything else fails, and so does
-        a bare negative for a < b."""
+        must list distinct edges of ``g``, each once in either orientation.
+        A refusal must name a strictly increasing S of vertices of ``g``,
+        with bound 0 and the recounted T and deficiency, below 0.  Anything
+        else fails, and so does a bare negative for a < b."""
         if self.exists and self.factor_edges is not None:
             nbrs = [0] * g.n  # factor neighbours of each vertex, as masks
             for u, v in self.factor_edges:
@@ -81,10 +82,11 @@ class FactorCertificate:
             return all(a <= x.bit_count() <= b for x in nbrs)
         if not self.exists and self.violation is not None:
             s, t, d, bound = self.violation
-            if not all(0 <= x < g.n for x in s):
+            # S strictly increasing, from 0 up to n - 1
+            if bound != 0 or not all(0 <= x < y for x, y in zip(s, (*s[1:], g.n))):
                 return False
             tmask, value = _deficiency(g, DegreeBounds.uniform(a, b, g.n), s)
-            return tuple(_bits(tmask)) == t and value == d < bound
+            return tuple(_bits(tmask)) == t and value == d < 0
         return self.exists or a == b
 
 

@@ -12,7 +12,8 @@ h(uv) = (F(u'v'') + F(v'u'')) / 2, and conversely the bipartite flow
 polytope is integral.  So for g < f a (g,f)-factor exists iff the
 lower-bounded flow of ``_solve`` is feasible, and so for g <= f on a
 bipartite graph, whose double cover is two copies of G.  Everything is
-integral.
+integral, and the flow is held as F itself: an arc u'->v'' carries flow
+exactly when u'v'' is an edge of F.
 
 When the flow falls short of g(V), the S of a refusal is
 S = {v : v'' is reached by the last search}, and its deficiency is
@@ -25,9 +26,9 @@ negative:
    is mirror(R-bar).  So R is a subset of mirror(R-bar), and R holds
    neither the hub nor both copies of any vertex.
 2. Let X = {u : u' in R}; then X and S are disjoint.  For u in X every
-   arc u'->v'' with v outside S is saturated and the arc hub->u' carries
-   nothing, so d_{G-S}(u) <= F-deg(u') = flow(source->u') <= g(u).  Each
-   v in S receives f(v), and all of it comes from X'.
+   arc u'->v'' with v outside S carries flow and the arc hub->u' carries
+   none, so d_{G-S}(u) <= F-deg(u') = flow(source->u') <= g(u).  Each
+   v in S receives f(v), and all of it comes over arcs from X'.
 3. Summing, f(S) + sum_{u in X} (d_{G-S}(u) - g(u)) = flow value - g(V)
    < 0, and replacing X by the low set T of S only lowers the sum.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, vertex_mask
 
 
 def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
@@ -76,23 +77,12 @@ def ab_factor(
     left (Lovasz 1970; Anstee 1985).
     """
     n = g.n
-    cap, s = _solve(g, *_uniform_bounds(n, a, b))
-    if cap is None:
+    f, s = _solve(g, *_uniform_bounds(n, a, b))
+    if f is None:
         return None, s
-    out_f = [0] * n  # the v with F(u'v'') = 1
-    in_f = [0] * n  # the v with F(v'u'') = 1
-    k = 0
-    for u in range(n):
-        rest = g.adj[u]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if not cap[2 * k]:  # the k-th arc u'v'' is saturated
-                out_f[u] |= bit
-                in_f[bit.bit_length() - 1] |= 1 << u
-            k += 1
-    factor = [out_f[u] & in_f[u] for u in range(n)]  # x = 1, then rounded up
-    half = [out_f[u] ^ in_f[u] for u in range(n)]  # x = 1/2, not yet rounded
+    fo, fi = f
+    factor = [o & i for o, i in zip(fo, fi)]  # x = 1, then rounded up
+    half = [o ^ i for o, i in zip(fo, fi)]  # x = 1/2, not yet rounded
 
     def walk(u: int, up: bool) -> None:
         """Round the half edges of a maximal trail from u."""
@@ -121,10 +111,11 @@ def _uniform_bounds(n: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int,
 
 def _solve(
     g: Graph, lower: Sequence[int], upper: Sequence[int]
-) -> tuple[list[int], None] | tuple[None, tuple[int, ...]]:
-    """(Residual capacities of a flow meeting every lower bound, None), or
+) -> tuple[tuple[list[int], list[int]], None] | tuple[None, tuple[int, ...]]:
+    """(F as masks (fo, fi), None) for a flow meeting every lower bound, or
     (None, S) when none does, with S the vertices v whose v'' the last
-    search reached.
+    search reached.  ``fo[u]`` holds the v and ``fi[v]`` the u with u'v''
+    in F.
 
     The flow runs s -> u' with bounds [g(u), f(u)], u' -> v'' with capacity
     1 for each ordered adjacent pair, and v'' -> t with bounds [g(v), f(v)].
@@ -132,98 +123,100 @@ def _solve(
     a super-sink (g(v) out of every v''); the return arc t -> s can carry
     any amount, so s and t become one hub node that passes the f - g slack
     at each side.  The factor exists iff the super-source can push g(V)
-    units to the super-sink.  The arcs u' -> v'' come first, in adjacency
-    order (u, then v, ascending): the k-th is arc 2k, and F(u'v'') = 1
-    exactly when its residual capacity is 0.
+    units to the super-sink.  No arc is stored.  An arc u' -> v'' carries
+    flow when v is in fo[u].  ``short[x]`` is the residual of the arc
+    super-source -> u' (x = u) or v'' -> super-sink (x = n + v).  ``via[x]``
+    is the flow from the hub into x: in [0, f(u) - g(u)] at u', and at v''
+    minus the flow v'' -> hub, in [g(v) - f(v), 0].
+
+    Dinic's phases: the search from the super-source builds one node mask
+    per level (u' at bit u, v'' at bit n + v, the hub at bit 2n) and stops
+    at the first level that holds a v'' with room left.  The blocking flow
+    is then walked back from those v'' one unit at a time, each step to a
+    node of the level before with a residual arc into the current one.  A
+    node with no such predecessor left drops out of its level, which is
+    Dinic's dead-end pruning.  Augmenting only adds arcs that run down a
+    level, so a dropped node stays dead for the rest of its phase.
     """
     n = g.n
-    total = sum(lower)
     adj = g.adj
-    # nodes: u' = u, v'' = n + v, hub, super-source, super-sink
-    hub, source, sink = 2 * n, 2 * n + 1, 2 * n + 2
-    out: list[list[int]] = [[] for _ in range(2 * n + 3)]
-    head: list[int] = []
-    cap: list[int] = []
+    hub = 2 * n
+    short = [*lower, *lower]
+    via = [0] * hub
+    via_max = [hi - lo for lo, hi in zip(lower, upper)] + [0] * n
+    via_min = [0] * n + [lo - hi for lo, hi in zip(lower, upper)]
+    fo = [0] * n
+    fi = [0] * n
 
-    def arc(x: int, y: int, c: int, f: int) -> None:
-        """Arc x -> y of capacity c already carrying f, with its reverse."""
-        out[x].append(len(head))
-        head.append(y)
-        cap.append(c - f)
-        out[y].append(len(head))
-        head.append(x)
-        cap.append(f)
-
-    # greedy start: route direct source -> u' -> v'' -> sink paths
-    need = list(lower)  # lower-bound demand still unsent at u'
-    room = list(lower)  # lower-bound demand still unreceived at v''
-    flow = 0
+    # greedy start: direct super-source -> u' -> v'' -> super-sink paths
     for u in range(n):
-        rest = adj[u]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            used = 1 if need[u] and room[v] else 0
-            if used:
-                need[u] -= 1
-                room[v] -= 1
-                flow += 1
-            arc(u, n + v, 1, used)
-    if flow == total:
-        return cap, None
-    for u in range(n):
-        lo, slack = lower[u], upper[u] - lower[u]
-        arc(source, u, lo, lo - need[u])
-        arc(hub, u, slack, 0)
-        arc(n + u, sink, lo, lo - room[u])
-        arc(n + u, hub, slack, 0)
+        for v in _bits(adj[u]):
+            if short[u] and short[n + v]:
+                fo[u] |= 1 << v
+                fi[v] |= 1 << u
+                short[u] -= 1
+                short[n + v] -= 1
+    left = sum(short[:n])
 
-    # Dinic: blocking flows on BFS level graphs
-    nodes = len(out)
-    while True:
-        level = [-1] * nodes
-        level[source] = 0
-        queue = [source]
-        for x in queue:
-            nxt = level[x] + 1
-            for e in out[x]:
-                y = head[e]
-                if cap[e] and level[y] < 0:
-                    level[y] = nxt
-                    queue.append(y)
-        if level[sink] < 0:
-            return None, tuple(v for v in range(n) if level[n + v] >= 0)
-        it = [0] * nodes
-        path: list[int] = []
-        x = source
+    while left:
+        seen = level = vertex_mask(u for u in range(n) if short[u])
+        levels = []
+        while level:
+            ends = vertex_mask(x for x in _bits(level) if n <= x < hub and short[x])
+            if ends:
+                levels.append(ends)
+                break
+            levels.append(level)
+            nxt = 0
+            for x in _bits(level):
+                if x == hub:
+                    nxt |= vertex_mask(y for y in range(hub) if via[y] < via_max[y])
+                    continue
+                if via[x] > via_min[x]:
+                    nxt |= 1 << hub
+                nxt |= (adj[x] & ~fo[x]) << n if x < n else fi[x - n]
+            level = nxt & ~seen
+            seen |= level
+        else:
+            return None, tuple(x - n for x in _bits(seen) if n <= x < hub)
+
+        top = len(levels) - 1
+        path: list[int] = []  # path[j] is a node of levels[top - j]
         while True:
-            if x == sink:
-                push = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= push
-                    cap[e ^ 1] += push
-                flow += push
-                if flow == total:
-                    return cap, None
-                path.clear()
-                x = source
-                continue
-            arcs = out[x]
-            i = it[x]
-            want = level[x] + 1
-            while i < len(arcs):
-                e = arcs[i]
-                if cap[e] and level[head[e]] == want:
+            i = top - len(path)
+            if i < 0:  # the super-source still feeds path[-1]: push one unit
+                for x, at in ((path[-1], 0), (path[0], top)):
+                    short[x] -= 1
+                    if not short[x]:
+                        levels[at] ^= 1 << x
+                for y, x in zip(path, path[1:]):  # along x -> y
+                    if x == hub:
+                        via[y] += 1
+                    elif y == hub:
+                        via[x] -= 1
+                    else:  # u'v'' joins F, or v''u' leaves it
+                        u, v = (x, y - n) if x < n else (y, x - n)
+                        fo[u] ^= 1 << v
+                        fi[v] ^= 1 << u
+                left -= 1
+                if not left:
                     break
-                i += 1
-            it[x] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                x = head[arcs[i]]
-            elif path:  # dead end: retreat and skip the arc that led here
-                e = path.pop()
-                x = head[e ^ 1]
-                it[x] += 1
+                path.clear()
+                continue
+            below = levels[i]
+            if not path:  # into the super-sink: from v'' with room left
+                cand = below
+            elif path[-1] == hub:  # from u' or v'' with a residual arc into the hub
+                cand = vertex_mask(y for y in _bits(below) if via[y] > via_min[y])
+            else:  # from the hub; into u' from v'' over F, into v'' from u' off F
+                x = path[-1]
+                cand = (via[x] < via_max[x]) << hub
+                cand |= fo[x] << n if x < n else adj[x - n] & ~fi[x - n]
+            cand &= below
+            if cand:
+                path.append((cand & -cand).bit_length() - 1)
+            elif path:  # dead end
+                levels[i + 1] ^= 1 << path.pop()
             else:
-                break  # level graph exhausted; rebuild it
+                break  # no v'' with room is reachable: the flow is blocking
+    return (fo, fi), None

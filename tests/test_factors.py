@@ -40,7 +40,7 @@ from factorbench.factors import (
     low_set,
     scan_deficiency,
 )
-from factorbench.flow import ab_factor, ab_factor_exists, min_cut_set
+from factorbench.flow import _solve, ab_factor, ab_factor_exists, min_cut_set
 
 
 def all_graphs(n):
@@ -409,6 +409,19 @@ def test_uniform_refusals_carry_the_cut_certificate(g, data):
     assert_route_certificate(g, [a] * g.n, [b] * g.n, cert)
     assert cert.exists or cert.verify(g, a, b)
     assert find_ab_factor(g, a, b).exists == cert.exists
+    if cert.exists:
+        return
+    # tampered refusals: a bound of the certificate's choosing, a repeated
+    # member of S, or S out of order
+    s, t, d, _ = cert.violation
+    tampered = [(s, 1)]
+    if s:
+        tampered.append((s + s[-1:], 0))
+    if len(s) > 1:
+        tampered.append((s[::-1], 0))
+    for s_bad, bound in tampered:
+        forged = FactorCertificate(False, violation=FactorViolation(s_bad, t, d, bound))
+        assert not forged.verify(g, a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,6 +430,26 @@ def test_per_vertex_refusals_carry_the_cut_certificate(g, data):
     lower = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))
     upper = [lo + data.draw(st.integers(1, 2)) for lo in lower]
     assert_route_certificate(g, lower, upper, check_gf_factor(g, lower, upper))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_up_to_40(), st.data())
+def test_flow_subgraph_meets_per_vertex_bounds(g, data):
+    # F, the flow's subgraph of the double cover: fo[u] holds the v and
+    # fi[v] the u with u'v'' in F
+    lower = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    upper = [lo + data.draw(st.integers(1, 2)) for lo in lower]
+    f, s = _solve(g, lower, upper)
+    assert (f is None) != (s is None)
+    assert s == min_cut_set(g, lower, upper)
+    if f is None:
+        return
+    fo, fi = f
+    for x in range(g.n):
+        assert fo[x] & ~g.adj[x] == 0
+        assert lower[x] <= fo[x].bit_count() <= upper[x]
+        assert lower[x] <= fi[x].bit_count() <= upper[x]
+        assert fi[x] == sum(1 << u for u in range(g.n) if fo[u] >> x & 1)
 
 
 def odd_components_of(g, s):
@@ -552,6 +585,27 @@ def test_verify_rejects_a_factor_edge_outside_the_graph(edge):
 def test_verify_rejects_a_set_outside_the_graph(s):
     cert = FactorCertificate(False, violation=FactorViolation(s, (), -1, 0))
     assert not cert.verify(complete_graph(4), 2, 3)
+
+
+def test_verify_rejects_a_refusal_that_sets_its_own_bound():
+    # K5 has a [2,3]-factor, so no refusal of it may verify, whatever bound
+    # the certificate claims to fall below
+    k5 = complete_graph(5)
+    assert check_ab_factor(k5, 2, 3).exists
+    forged = FactorViolation(s=(0,), t=(), delta=3, bound=99)
+    assert delta(k5, forged.s, 2, 3) == forged.delta
+    assert not FactorCertificate(False, violation=forged).verify(k5, 2, 3)
+
+
+@pytest.mark.parametrize("s", [(0, 0, 1), (1, 0), (0, 1, 1), (1, 1, 0)])
+def test_verify_rejects_a_repeated_or_unsorted_set(s):
+    # K_{2,6} with centres 0 and 1: S = {0, 1} leaves six isolated leaves,
+    # a genuine [1,2] refusal, which must be named once and in order
+    g = Graph(8, [(c, x) for c in (0, 1) for x in range(2, 8)])
+    t, d = tuple(range(2, 8)), delta(g, (0, 1), 1, 2)
+    assert d == -2
+    assert FactorCertificate(False, violation=FactorViolation((0, 1), t, d, 0)).verify(g, 1, 2)
+    assert not FactorCertificate(False, violation=FactorViolation(s, t, d, 0)).verify(g, 1, 2)
 
 
 @st.composite
