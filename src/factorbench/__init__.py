@@ -37,7 +37,6 @@ from .toughness import (
     threshold,
 )
 from .factors import (
-    DegreeBounds,
     FactorCertificate,
     FactorViolation,
     KaterinisPair,
@@ -55,7 +54,6 @@ from .factors import (
     low_set,
     scan_deficiency,
 )
-from .flow import ab_factor_exists
 from .avoidance import (
     AvoidanceVerdict,
     Counterexample,
@@ -106,8 +104,6 @@ __all__ = [
     "isolated_toughness_bruteforce",
     "threshold",
     # factor engine
-    "ab_factor_exists",
-    "DegreeBounds",
     "FactorCertificate",
     "FactorViolation",
     "KaterinisPair",

@@ -101,7 +101,7 @@ class AvoidanceVerdict:
     def to_json_dict(self) -> dict:
         out = {
             "theorem": self.theorem,
-            "params": dict(self.params),
+            "params": self.params,
             "premises": {
                 p.name: {"holds": p.holds, "detail": p.detail} for p in self.premises
             },

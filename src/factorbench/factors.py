@@ -4,13 +4,14 @@ The deficiency f(S) + sum_{x in T} (d_{G-S}(x) - g(x)), with T the
 vertices x of G-S of degree below g(x), decides (g,f)-factor existence
 (g < f, or a bipartite graph) and, as b|S| - a|T| + d_{G-S}(T), [a,b]-factor
 existence (a < b): the factor exists iff it is nonnegative for every S.
-Max-flow (``flow``) decides existence, and a refusal is certified by the S
-of its least minimum cut, whose deficiency is re-checked here.  A perfect
-matching (m = 1 stars) is refused with the Tutte set of the failed blossom
-search (``matching``), whose odd components are recounted here.
+Max-flow (``flow.solve``) decides existence, with plain (lower, upper)
+bound tuples that the public deciders check, and a refusal is certified by
+the S of its least minimum cut, whose deficiency is re-checked here.  A
+perfect matching (m = 1 stars) is refused with the Tutte set of the failed
+blossom search (``matching``), whose odd components are recounted here.
 ``find_ab_factor`` builds every explicit factor, star forests included: by
-rounding the flow for a < b, and by blossom matching for a = b, whose
-refusal carries no certificate.  The one subset scan of the criterion,
+rounding the flow for a < b (``flow.round_factor``), and by blossom
+matching for a = b, whose refusal carries no certificate.  The one subset scan of the criterion,
 ``deficient_sets``, serves only the pure scan statement D1 and the tests,
 as an oracle, through ``scan_deficiency``.  This module also
 houses an exhaustive oracle kept independent of every route and the
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
-from .flow import ab_factor, min_cut_set
+from .flow import round_factor, solve
 from .graphs import Graph, _bits, vertex_mask
 from .matching import k_factor, perfect_matching
 
@@ -71,7 +73,10 @@ class FactorCertificate:
         must list distinct edges of ``g``, each once in either orientation.
         A refusal must name a strictly increasing S of vertices of ``g``,
         with bound 0 and the recounted T and deficiency, below 0.  Anything
-        else fails, and so does a bare negative for a < b."""
+        else fails: a certificate that carries the other verdict's evidence,
+        and a bare negative for a < b."""
+        if (self.violation if self.exists else self.factor_edges) is not None:
+            return False
         if self.exists and self.factor_edges is not None:
             nbrs = [0] * g.n  # factor neighbours of each vertex, as masks
             for u, v in self.factor_edges:
@@ -85,7 +90,7 @@ class FactorCertificate:
             # S strictly increasing, from 0 up to n - 1
             if bound != 0 or not all(0 <= x < y for x, y in zip(s, (*s[1:], g.n))):
                 return False
-            tmask, value = _deficiency(g, DegreeBounds.uniform(a, b, g.n), s)
+            tmask, value = _deficiency(g, (a,) * g.n, (b,) * g.n, s)
             return tuple(_bits(tmask)) == t and value == d < 0
         return self.exists or a == b
 
@@ -146,46 +151,27 @@ class KaterinisPair(NamedTuple):
     c_counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DegreeBounds:
-    """Uniform [a, b] bounds or per-vertex (g, f) bounds."""
-
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-
-    @classmethod
-    def uniform(cls, a: int, b: int, n: int) -> "DegreeBounds":
-        return cls((a,) * n, (b,) * n)
-
-    @classmethod
-    def per_vertex(cls, gfun, ffun, n: int) -> "DegreeBounds":
-        return cls(_as_vector(gfun, n), _as_vector(ffun, n))
-
-    @property
-    def strictly_separated(self) -> bool:
-        return all(lo < hi for lo, hi in zip(self.lower, self.upper))
-
-    def validate(self) -> None:
-        for v, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if lo < 0:
-                raise ValueError(f"negative lower bound at vertex {v}")
-            if lo > hi:
-                raise ValueError(f"lower bound exceeds upper bound at vertex {v}")
-
-
 def _as_vector(fun, n: int) -> tuple[int, ...]:
-    if callable(fun):
-        return tuple(int(fun(v)) for v in range(n))
-    vec = tuple(int(x) for x in fun)
-    if len(vec) != n:
-        raise ValueError(f"bound vector has length {len(vec)}, expected {n}")
-    return vec
+    """The bounds of vertices 0..n-1, from a callable or a sequence; each
+    must be an integer (``operator.index``)."""
+    values = [fun(v) for v in range(n)] if callable(fun) else list(fun)
+    if len(values) != n:
+        raise ValueError(f"bound vector has length {len(values)}, expected {n}")
+    vec = []
+    for v, x in enumerate(values):
+        try:
+            vec.append(index(x))
+        except TypeError:
+            raise ValueError(f"bound {x!r} at vertex {v} is not an integer") from None
+    return tuple(vec)
 
 
 # -- deficiency ------------------------------------------------------------------
 
 
-def _deficiency(g: Graph, bounds: DegreeBounds, s: Sequence[int]) -> tuple[int, int]:
+def _deficiency(
+    g: Graph, lower: Sequence[int], upper: Sequence[int], s: Sequence[int]
+) -> tuple[int, int]:
     """T as a mask and the deficiency f(S) + sum_{x in T} (d_{G-S}(x) - g(x))
     at one S, with T the vertices x of G-S of degree below g(x)."""
     smask = vertex_mask(s)
@@ -196,9 +182,9 @@ def _deficiency(g: Graph, bounds: DegreeBounds, s: Sequence[int]) -> tuple[int, 
     value = 0
     for v in range(g.n):
         if smask >> v & 1:
-            value += bounds.upper[v]
+            value += upper[v]
             continue
-        gap = (g.adj[v] & keep).bit_count() - bounds.lower[v]  # d_{G-S}(v) - g(v)
+        gap = (g.adj[v] & keep).bit_count() - lower[v]  # d_{G-S}(v) - g(v)
         if gap < 0:
             tmask |= 1 << v
             value += gap
@@ -207,22 +193,26 @@ def _deficiency(g: Graph, bounds: DegreeBounds, s: Sequence[int]) -> tuple[int, 
 
 def low_set(g: Graph, s: Sequence[int], a: int) -> tuple[int, ...]:
     """T = the vertices of G-S whose degree in G-S is at most a-1."""
-    return tuple(_bits(_deficiency(g, DegreeBounds.uniform(a, a, g.n), s)[0]))
+    return tuple(_bits(_deficiency(g, (a,) * g.n, (a,) * g.n, s)[0]))
 
 
 def delta(g: Graph, s: Sequence[int], a: int, b: int) -> int:
     """b|S| - a|T| + d_{G-S}(T) with T = low_set(g, s, a)."""
-    return _deficiency(g, DegreeBounds.uniform(a, b, g.n), s)[1]
+    return _deficiency(g, (a,) * g.n, (b,) * g.n, s)[1]
 
 
 def deficient_sets(
-    g: Graph, bounds: DegreeBounds, *, bound: int = 0, min_size: int = 0
+    g: Graph,
+    lower: Sequence[int],
+    upper: Sequence[int],
+    *,
+    bound: int = 0,
+    min_size: int = 0,
 ) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     """Every S with |S| >= min_size whose deficiency
     f(S) + sum_{x in T} (d_{G-S}(x) - g(x)) falls below ``bound``, in
     size-then-lexicographic order, with T the vertices x of G-S of degree
     below g(x).  Yields (S, G-S mask, T mask, deficiency)."""
-    lo, hi = bounds.lower, bounds.upper
     adj = g.adj
     full = g.full_mask
     n = g.n
@@ -232,7 +222,7 @@ def deficient_sets(
             value = 0
             for v in combo:
                 smask |= 1 << v
-                value += hi[v]
+                value += upper[v]
             keep = full & ~smask
             tmask = 0
             rest = keep
@@ -240,7 +230,7 @@ def deficient_sets(
                 bit = rest & -rest
                 rest ^= bit
                 v = bit.bit_length() - 1
-                gap = (adj[v] & keep).bit_count() - lo[v]  # d_{G-S}(v) - g(v)
+                gap = (adj[v] & keep).bit_count() - lower[v]  # d_{G-S}(v) - g(v)
                 if gap < 0:
                     tmask |= bit
                     value += gap
@@ -263,8 +253,8 @@ def scan_deficiency(
     Returns None when every required S passes."""
     if g.n > cap_n:
         raise CapExceeded(f"deficiency scan capped at {cap_n} vertices, got {g.n}")
-    bounds = DegreeBounds.uniform(a, b, g.n)
-    for s, _, tmask, d in deficient_sets(g, bounds, bound=bound, min_size=min_size):
+    lower, upper = (a,) * g.n, (b,) * g.n
+    for s, _, tmask, d in deficient_sets(g, lower, upper, bound=bound, min_size=min_size):
         if tmask or not require_t:
             return FactorViolation(s, tuple(_bits(tmask)), d, bound)
     return None
@@ -278,7 +268,8 @@ def check_ab_factor(g: Graph, a: int, b: int) -> FactorCertificate:
     No subgraph is constructed.  A refusal is certified by the S of the
     flow's least minimum cut."""
     _check_ab(a, b, strict=True)
-    return _decided(g, DegreeBounds.uniform(a, b, g.n))
+    violation = _decided(g, (a,) * g.n, (b,) * g.n)[1]
+    return FactorCertificate(exists=violation is None, violation=violation)
 
 
 def check_gf_factor(g: Graph, gfun, ffun) -> FactorCertificate:
@@ -288,31 +279,38 @@ def check_gf_factor(g: Graph, gfun, ffun) -> FactorCertificate:
     The criterion is valid when g(x) < f(x) for every vertex or when the
     graph is bipartite; anything else is refused.  There the double-cover
     flow with per-vertex bounds decides and certifies, as
-    ``check_ab_factor`` does.
+    ``check_ab_factor`` does.  Each bound, given as a sequence or as a
+    callable on the vertices, must be an integer.
     """
-    bounds = DegreeBounds.per_vertex(gfun, ffun, g.n)
-    bounds.validate()
-    if not bounds.strictly_separated and not g.is_bipartite():
+    lower, upper = _as_vector(gfun, g.n), _as_vector(ffun, g.n)
+    for v, (lo, hi) in enumerate(zip(lower, upper)):
+        if not 0 <= lo <= hi:
+            raise ValueError(f"need 0 <= g(x) <= f(x), got ({lo}, {hi}) at vertex {v}")
+    if any(lo == hi for lo, hi in zip(lower, upper)) and not g.is_bipartite():
         raise ValueError(
             "criterion requires g(x) < f(x) for every vertex, or a bipartite graph"
         )
-    return _decided(g, bounds)
+    violation = _decided(g, lower, upper)[1]
+    return FactorCertificate(exists=violation is None, violation=violation)
 
 
-def _decided(g: Graph, bounds: DegreeBounds) -> FactorCertificate:
-    """The flow's verdict as a certificate; a refusal carries the S of the
-    least minimum cut."""
-    s = min_cut_set(g, bounds.lower, bounds.upper)
-    if s is None:
-        return FactorCertificate(exists=True)
-    return FactorCertificate(exists=False, violation=_certify_refusal(g, bounds, s))
+def _decided(
+    g: Graph, lower: Sequence[int], upper: Sequence[int]
+) -> tuple[tuple[list[int], list[int]], None] | tuple[None, FactorViolation]:
+    """The flow's verdict on bounds its caller has checked: (F, None) as
+    ``flow.solve`` gives it, or (None, the violation at the S of the least
+    minimum cut)."""
+    f, s = solve(g, lower, upper)
+    return (f, None) if s is None else (None, _certify_refusal(g, lower, upper, s))
 
 
-def _certify_refusal(g: Graph, bounds: DegreeBounds, s: Sequence[int]) -> FactorViolation:
+def _certify_refusal(
+    g: Graph, lower: Sequence[int], upper: Sequence[int], s: Sequence[int]
+) -> FactorViolation:
     """The violation at the S of the route that refused ``g``.  A
     deficiency >= 0 there means the refusal and the criterion disagree,
     which is a bug, not a verdict."""
-    tmask, d = _deficiency(g, bounds, s)
+    tmask, d = _deficiency(g, lower, upper, s)
     if d >= 0:
         raise RuntimeError(
             "refusal and deficiency routes disagree: the factor was refused "
@@ -337,7 +335,7 @@ def find_ab_factor(g: Graph, a: int, b: int) -> FactorCertificate:
     """An explicit [a,b]-factor (a = b allowed), re-verified, or a refusal.
 
     For a < b the factor is rounded from the double-cover flow
-    (``flow.ab_factor``), and a refusal carries the S of the flow's least
+    (``flow.round_factor``), and a refusal carries the S of the flow's least
     minimum cut.  For a = b the criterion has a parity term, and blossom
     matching decides (``matching.k_factor``); a refusal carries no
     certificate.  A factor that fails ``FactorCertificate.verify`` is
@@ -346,9 +344,12 @@ def find_ab_factor(g: Graph, a: int, b: int) -> FactorCertificate:
     _check_ab(a, b, strict=False)
     if a == 0 or g.n == 0:
         return FactorCertificate(exists=True, factor_edges=())
-    edges, s = ab_factor(g, a, b) if a < b else (k_factor(g, a), None)
+    if a < b:
+        f, violation = _decided(g, (a,) * g.n, (b,) * g.n)
+        edges = None if f is None else round_factor(f, b)
+    else:
+        edges, violation = k_factor(g, a), None
     if edges is None:
-        violation = None if a == b else _certify_refusal(g, DegreeBounds.uniform(a, b, g.n), s)
         return FactorCertificate(exists=False, violation=violation)
     cert = FactorCertificate(exists=True, factor_edges=edges)
     if not cert.verify(g, a, b):
@@ -423,8 +424,7 @@ def check_star_factor(g: Graph, m: int) -> StarCheck:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m >= 2:
-        cert = _decided(g, DegreeBounds.uniform(1, m, g.n))
-        violation = cert.violation
+        violation = _decided(g, (1,) * g.n, (m,) * g.n)[1]
         if violation is None:
             return StarCheck(exists=True, m=m)
         return StarCheck(

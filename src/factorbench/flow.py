@@ -1,6 +1,7 @@
-"""Polynomial (g,f)-factor decision by max-flow on the bipartite double cover,
-[a,b]-factor construction (a < b) by rounding that flow, and the
-certificate of a refusal read off the flow's last search.
+"""Polynomial (g,f)-factor decision by max-flow on the bipartite double cover
+(``solve``), the certificate of a refusal read off the flow's last search,
+and [a,b]-factor construction (a < b) by rounding that flow
+(``round_factor``).
 
 For g < f the criterion f(S) + sum_{x in T} (d_{G-S}(x) - g(x)) >= 0 carries
 no odd-component term (Lovasz 1970), and the same inequality characterises
@@ -10,7 +11,7 @@ an edge u'v'' for each ordered adjacent pair -- has a subgraph with every
 degree in [g, f]: such a subgraph F gives the fractional factor
 h(uv) = (F(u'v'') + F(v'u'')) / 2, and conversely the bipartite flow
 polytope is integral.  So for g < f a (g,f)-factor exists iff the
-lower-bounded flow of ``_solve`` is feasible, and so for g <= f on a
+lower-bounded flow of ``solve`` is feasible, and so for g <= f on a
 bipartite graph, whose double cover is two copies of G.  Everything is
 integral, and the flow is held as F itself: an arc u'->v'' carries flow
 exactly when u'v'' is an edge of F.
@@ -43,43 +44,22 @@ from typing import Sequence
 from .graphs import Graph, _bits, vertex_mask
 
 
-def ab_factor_exists(g: Graph, a: int, b: int) -> bool:
-    """Exact [a,b]-factor existence for 0 <= a < b in polynomial time."""
-    return _solve(g, *_uniform_bounds(g.n, a, b))[1] is None
+def round_factor(f: tuple[list[int], list[int]], b: int) -> tuple[tuple[int, int], ...]:
+    """The [a,b]-factor rounded from the F that ``solve`` found for the
+    uniform bounds 0 <= a < b, as its sorted edge list.
 
-
-def min_cut_set(g: Graph, lower: Sequence[int], upper: Sequence[int]) -> tuple[int, ...] | None:
-    """None when a (g,f)-factor exists, else the S of the least minimum
-    cut, whose deficiency is negative (see the module docstring).  Exact
-    in polynomial time for bounds with 0 <= lower < upper everywhere, or
-    0 <= lower <= upper on a bipartite G.  S may be empty, so test the
-    result against None."""
-    return _solve(g, lower, upper)[1]
-
-
-def ab_factor(
-    g: Graph, a: int, b: int
-) -> tuple[tuple[tuple[int, int], ...], None] | tuple[None, tuple[int, ...]]:
-    """An explicit [a,b]-factor for 0 <= a < b, as (its sorted edge list,
-    None), or (None, the S of ``min_cut_set``) when none exists.
-
-    The flow's double-cover subgraph F gives each edge the value
-    x(uv) = (F(u'v'') + F(v'u'')) / 2 in {0, 1/2, 1}, and the x-degree of
-    every vertex lies in [a, b].  The edges with x = 1 are kept and the half
-    edges are rounded along maximal trails, alternately up and down, so a
-    trail passing through a vertex leaves its x-degree unchanged and only
-    its ends move: each by 1/2, or the start by 0 or 1 when the trail
-    closes.  A trail that does not close gets stuck at a vertex with an odd
-    number of half edges, whose x-degree is a half-integer in [a, b], so
-    either move fits there.  A trail starts up when the x-degree of its
-    start, rounded down, is below b, and else down, which stays at least a
-    because a < b.  So every x-degree stays in [a, b] until no half edge is
-    left (Lovasz 1970; Anstee 1985).
+    F gives each edge the value x(uv) = (F(u'v'') + F(v'u'')) / 2 in
+    {0, 1/2, 1}, and the x-degree of every vertex lies in [a, b].  The
+    edges with x = 1 are kept and the half edges are rounded along maximal
+    trails, alternately up and down, so a trail passing through a vertex
+    leaves its x-degree unchanged and only its ends move: each by 1/2, or
+    the start by 0 or 1 when the trail closes.  A trail that does not close
+    gets stuck at a vertex with an odd number of half edges, whose x-degree
+    is a half-integer in [a, b], so either move fits there.  A trail starts
+    up when the x-degree of its start, rounded down, is below b, and else
+    down, which stays at least a because a < b.  So every x-degree stays in
+    [a, b] until no half edge is left (Lovasz 1970; Anstee 1985).
     """
-    n = g.n
-    f, s = _solve(g, *_uniform_bounds(n, a, b))
-    if f is None:
-        return None, s
     fo, fi = f
     factor = [o & i for o, i in zip(fo, fi)]  # x = 1, then rounded up
     half = [o ^ i for o, i in zip(fo, fi)]  # x = 1/2, not yet rounded
@@ -97,25 +77,22 @@ def ab_factor(
             up = not up
             u = v
 
-    for u in range(n):
+    for u in range(len(fo)):
         while half[u]:
             walk(u, factor[u].bit_count() + half[u].bit_count() // 2 < b)
-    return tuple((u, v) for u in range(n) for v in _bits(factor[u] >> u + 1 << u + 1)), None
+    return tuple((u, v) for u, row in enumerate(factor) for v in _bits(row >> u + 1 << u + 1))
 
 
-def _uniform_bounds(n: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not 0 <= a < b:
-        raise ValueError(f"the flow decision requires 0 <= a < b, got a={a}, b={b}")
-    return (a,) * n, (b,) * n
-
-
-def _solve(
+def solve(
     g: Graph, lower: Sequence[int], upper: Sequence[int]
 ) -> tuple[tuple[list[int], list[int]], None] | tuple[None, tuple[int, ...]]:
     """(F as masks (fo, fi), None) for a flow meeting every lower bound, or
     (None, S) when none does, with S the vertices v whose v'' the last
-    search reached.  ``fo[u]`` holds the v and ``fi[v]`` the u with u'v''
-    in F.
+    search reached: the S of the least minimum cut, whose deficiency is
+    negative (see the module docstring).  ``fo[u]`` holds the v and
+    ``fi[v]`` the u with u'v'' in F.  Exact for bounds with
+    0 <= lower < upper everywhere, or 0 <= lower <= upper on a bipartite
+    G; the callers check them.  S may be empty, so test it against None.
 
     The flow runs s -> u' with bounds [g(u), f(u)], u' -> v'' with capacity
     1 for each ordered adjacent pair, and v'' -> t with bounds [g(v), f(v)].

@@ -1,6 +1,6 @@
 """Criterion-side oracles shared by the test modules."""
 
-from factorbench.factors import DegreeBounds, deficient_sets
+from factorbench.factors import deficient_sets
 
 
 def first_rho_violation(g, u, v, a, b):
@@ -11,7 +11,7 @@ def first_rho_violation(g, u, v, a, b):
     minus one."""
     adj = g.adj
     uv = 1 << u | 1 << v
-    for s, keep, _, d in deficient_sets(g, DegreeBounds.uniform(a, b, g.n), bound=2):
+    for s, keep, _, d in deficient_sets(g, (a,) * g.n, (b,) * g.n, bound=2):
         penalty = 0
         if keep & uv == uv:
             # x in T' iff deg_{G-S}(x) - 1 <= a - 1

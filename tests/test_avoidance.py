@@ -472,7 +472,7 @@ DECIDED_BY_FIND = (
 
 def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
     # refused at S = {}, where nothing is deficient
-    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (None, ()))
+    monkeypatch.setattr(factors, "solve", lambda g, lower, upper: (None, ()))
     for check in DECIDED_BY_FIND:
         with pytest.raises(RuntimeError, match="routes disagree"):
             check()
@@ -480,7 +480,7 @@ def test_edge_avoiding_refusal_without_rho_violation_raises(monkeypatch):
 
 def test_edge_avoiding_rejects_an_invalid_direct_factor(monkeypatch):
     # the edge 01 alone; find_ab_factor re-verifies what the flow built
-    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (((0, 1),), None))
+    monkeypatch.setattr(factors, "round_factor", lambda f, b: ((0, 1),))
     for check in DECIDED_BY_FIND:
         with pytest.raises(RuntimeError, match="fails verification"):
             check()
@@ -824,7 +824,7 @@ def test_refusal_loop_agrees_across_deciders(case):
 def test_premise_refusal_passes_the_certificate_check(monkeypatch, check):
     # a false refusal at S = {}, where nothing is deficient, in the
     # deletions that D's antecedent and E's pair premise decide first
-    monkeypatch.setattr(factors, "min_cut_set", lambda g, lower, upper: ())
+    monkeypatch.setattr(factors, "solve", lambda g, lower, upper: (None, ()))
     with pytest.raises(RuntimeError, match="routes disagree"):
         check()
 

@@ -22,7 +22,6 @@ from factorbench import (
     star_graph,
 )
 from factorbench.factors import (
-    DegreeBounds,
     FactorCertificate,
     FactorViolation,
     Star,
@@ -40,7 +39,7 @@ from factorbench.factors import (
     low_set,
     scan_deficiency,
 )
-from factorbench.flow import _solve, ab_factor, ab_factor_exists, min_cut_set
+from factorbench.flow import round_factor, solve
 
 
 def all_graphs(n):
@@ -127,6 +126,15 @@ def test_check_ab_factor_rejects_a_equals_b():
         check_ab_factor(cycle_graph(4), 2, 2)
 
 
+def test_deciders_reject_bounds_outside_their_range():
+    # the public deciders check a and b; flow.solve takes them as given
+    for a, b in [(3, 2), (-1, 1)]:
+        with pytest.raises(ValueError, match="a < b|nonnegative"):
+            check_ab_factor(cycle_graph(4), a, b)
+        with pytest.raises(ValueError, match="a <= b|nonnegative"):
+            find_ab_factor(cycle_graph(4), a, b)
+
+
 def test_check_ab_factor_cap():
     # no cap is left: the empty 20-vertex graph is refused with the cut's
     # certificate, and cap_n is no longer a parameter
@@ -187,27 +195,18 @@ def test_flow_refusal_without_violation_is_a_route_disagreement(monkeypatch):
     import factorbench.factors as factors
 
     # a cut, or a barrier, at which nothing is deficient
-    monkeypatch.setattr(factors, "min_cut_set", lambda g, lower, upper: ())
+    monkeypatch.setattr(factors, "solve", lambda g, lower, upper: (None, ()))
     with pytest.raises(RuntimeError, match="disagree"):
         check_ab_factor(cycle_graph(4), 1, 2)
     with pytest.raises(RuntimeError, match="disagree"):
         check_star_factor(cycle_graph(4), 2)
     with pytest.raises(RuntimeError, match="disagree"):
         check_gf_factor(cycle_graph(4), [1, 0, 1, 2], [2, 1, 2, 2])
-    monkeypatch.setattr(factors, "ab_factor", lambda g, a, b: (None, (0, 2)))
     with pytest.raises(RuntimeError, match="disagree"):
         find_ab_factor(cycle_graph(4), 1, 2)
     monkeypatch.setattr(factors, "perfect_matching", lambda nbrs: (None, (0, 2)))
     with pytest.raises(RuntimeError, match="disagree"):
         check_star_factor(cycle_graph(4), 1)
-
-
-def test_flow_decision_rejects_bad_bounds():
-    for a, b in [(2, 2), (3, 2), (-1, 1)]:
-        with pytest.raises(ValueError, match="0 <= a < b"):
-            ab_factor_exists(cycle_graph(4), a, b)
-        with pytest.raises(ValueError, match="0 <= a < b"):
-            ab_factor(cycle_graph(4), a, b)
 
 
 @st.composite
@@ -225,7 +224,7 @@ def small_graph_and_bounds(draw):
 def test_flow_decision_matches_oracle_and_scan(case):
     g, a, b = case
     expected = brute_force_factor(g, a, b)
-    assert ab_factor_exists(g, a, b) == expected
+    assert (solve(g, [a] * g.n, [b] * g.n)[1] is None) == expected
     assert (scan_deficiency(g, a, b) is None) == expected
 
 
@@ -237,10 +236,11 @@ def test_flow_decision_matches_oracle_and_scan(case):
 @example((Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 1, 2))
 def test_flow_factor_matches_decision_and_oracle(case):
     g, a, b = case
-    factor, s = ab_factor(g, a, b)
-    assert (factor is not None) == ab_factor_exists(g, a, b) == brute_force_factor(g, a, b)
-    assert (s is None) == (factor is not None)
-    if factor is not None:
+    f, s = solve(g, [a] * g.n, [b] * g.n)
+    assert (f is not None) == brute_force_factor(g, a, b)
+    assert (s is None) == (f is not None)
+    if f is not None:
+        factor = round_factor(f, b)
         assert FactorCertificate(True, factor_edges=factor).verify(g, a, b)
         assert list(factor) == sorted(set(factor))
 
@@ -279,9 +279,8 @@ def small_graph_and_gf_bounds(draw):
 def test_gf_flow_matches_kernel_and_edge_subsets(case):
     g, lower, upper = case
     expected = gf_factor_by_edge_subsets(g, lower, upper)
-    assert (min_cut_set(g, lower, upper) is None) == expected
-    bounds = DegreeBounds(tuple(lower), tuple(upper))
-    assert (next(deficient_sets(g, bounds), None) is None) == expected
+    assert (solve(g, lower, upper)[1] is None) == expected
+    assert (next(deficient_sets(g, lower, upper), None) is None) == expected
     cert = check_gf_factor(g, lower, upper)
     assert cert.exists == expected
     if not expected:
@@ -317,10 +316,9 @@ def test_cut_set_is_the_least_minimiser_of_the_deficiency(case):
     # minimisers of the deficiency, itself one of them, whichever maximum
     # flow the solver built
     g, lower, upper = case
-    bounds = DegreeBounds(tuple(lower), tuple(upper))
-    value = {s: d for s, _, _, d in deficient_sets(g, bounds, bound=sum(upper) + 1)}
+    value = {s: d for s, _, _, d in deficient_sets(g, lower, upper, bound=sum(upper) + 1)}
     least = min(value.values())
-    s = min_cut_set(g, lower, upper)
+    s = solve(g, lower, upper)[1]
     assert (s is None) == (least >= 0)
     if s is not None:
         meet = set.intersection(*(set(x) for x, d in value.items() if d == least))
@@ -371,6 +369,28 @@ def test_check_gf_factor_validates_vectors():
         check_gf_factor(path_graph(2), [-1, 0], [1, 1])
 
 
+@pytest.mark.parametrize(
+    "lower, upper, vertex",
+    [([0.5] * 3, [1.5] * 3, 0),
+     ([0, 0, 0], [1, 1, 1.0], 2),
+     ([0, Fraction(1, 2), 0], [1, 1, 1], 1),
+     (lambda v: 0, lambda v: v + Fraction(1, 2), 0)],
+    ids=["halves", "float", "fraction", "callable"],
+)
+def test_check_gf_factor_refuses_a_bound_that_is_not_an_integer(lower, upper, vertex):
+    # int() would round 0.5 and 1.5 down to the bounds (0, 1) and accept
+    # the edgeless graph, where no vertex reaches degree 1
+    with pytest.raises(ValueError, match=f"vertex {vertex} is not an integer"):
+        check_gf_factor(Graph(3), lower, upper)
+
+
+def test_check_gf_factor_accepts_integer_sequences_and_callables():
+    p3 = path_graph(3)
+    for lower, upper in [([1, 1, 1], [2, 2, 2]), ((True, 1, 1), range(2, 5)),
+                         (lambda v: 1, lambda v: 2)]:
+        assert check_gf_factor(p3, lower, upper).exists
+
+
 # -- route certificates at any order -------------------------------------------------
 
 
@@ -390,9 +410,8 @@ def recount(g, lower, upper, s):
 
 
 def assert_route_certificate(g, lower, upper, cert):
-    bounds = DegreeBounds(tuple(lower), tuple(upper))
     if g.n <= 10:
-        assert (next(deficient_sets(g, bounds), None) is None) == cert.exists
+        assert (next(deficient_sets(g, lower, upper), None) is None) == cert.exists
     if cert.exists:
         return
     s, t, d, bound = cert.violation
@@ -439,9 +458,8 @@ def test_flow_subgraph_meets_per_vertex_bounds(g, data):
     # fi[v] the u with u'v'' in F
     lower = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
     upper = [lo + data.draw(st.integers(1, 2)) for lo in lower]
-    f, s = _solve(g, lower, upper)
+    f, s = solve(g, lower, upper)
     assert (f is None) != (s is None)
-    assert s == min_cut_set(g, lower, upper)
     if f is None:
         return
     fo, fi = f
@@ -564,6 +582,23 @@ def test_verify_rejects_a_repeated_edge():
     for edges in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
         assert not FactorCertificate(True, factor_edges=edges).verify(k2, 2, 2)
     assert not find_ab_factor(k2, 2, 2).exists
+
+
+def test_verify_rejects_the_other_verdicts_evidence():
+    # a positive certificate carries no violation, a refusal no factor
+    k5 = complete_graph(5)
+    mixed = FactorCertificate(True, violation=FactorViolation((0,), (), 3, 0))
+    assert mixed.to_json_dict() == {"verdict": "exists", "S": [0], "T": [], "delta": 3}
+    assert not mixed.verify(k5, 2, 3)
+    assert not FactorCertificate(False, factor_edges=((0, 1),)).verify(k5, 2, 2)
+    found = find_ab_factor(k5, 2, 2)
+    both = FactorCertificate(True, found.factor_edges, FactorViolation((0,), (), 3, 0))
+    assert found.verify(k5, 2, 2) and not both.verify(k5, 2, 2)
+    refused = check_ab_factor(path_graph(4), 2, 3)
+    assert not FactorCertificate(False, (), refused.violation).verify(path_graph(4), 2, 3)
+    # bare positives, and the bare negative for a = b, still verify
+    assert FactorCertificate(True).verify(k5, 2, 3)
+    assert FactorCertificate(False).verify(k5, 2, 2)
 
 
 def test_verify_accepts_a_bare_negative_only_for_a_equals_b():
