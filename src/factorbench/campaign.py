@@ -388,6 +388,10 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     pending: list[dict] = []
     cell_stats: list[dict] = []
     index = 0
+    # one p text per p value, and one graph6 string per draw, shared by the
+    # rows of every cell that keeps that draw
+    p_text = {p: str(Fraction(p)) for p in config.p_list}
+    graph6: dict[tuple, str] = {}
     for cell in config.cells():
         draws = 0
         kept = 0
@@ -400,14 +404,17 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
             if not _premises_hold(cell, g, config.cap_deletions):
                 continue
             kept += 1
+            key = (seed, p, ng)
+            if key not in graph6:
+                graph6[key] = emit_graph6(g)
             pending.append(
                 {
                     "index": index,
                     "theorem": cell.theorem,
                     "params": cell.params,  # shared by the cell's rows; read only
-                    "graph6": emit_graph6(g),
+                    "graph6": graph6[key],
                     "seed": seed,
-                    "p": str(Fraction(p)),
+                    "p": p_text[p],
                     "cap_n": config.cap_n,
                     "cap_deletions": config.cap_deletions,
                 }

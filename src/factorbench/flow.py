@@ -14,7 +14,14 @@ polytope is integral.  So for g < f a (g,f)-factor exists iff the
 lower-bounded flow of ``solve`` is feasible, and so for g <= f on a
 bipartite graph, whose double cover is two copies of G.  Everything is
 integral, and the flow is held as F itself: an arc u'->v'' carries flow
-exactly when u'v'' is an edge of F.
+exactly when u'v'' is an edge of F.  The rest of the residual network is
+held as four node masks, updated at every push: the u' that the
+super-source still feeds, the v'' that can still feed the super-sink, and
+the nodes that the hub can still push into or take flow back from.  The
+greedy start matches each u' to its lowest neighbours v whose v'' still
+has room, read off the mask of the v'' with room; the level search and
+the path walk combine the four masks with F's, so no loop steps a
+generator per set bit.
 
 When the flow falls short of g(V), the S of a refusal is
 S = {v : v'' is reached by the last search}, and its deficiency is
@@ -106,71 +113,128 @@ def solve(
     is the flow from the hub into x: in [0, f(u) - g(u)] at u', and at v''
     minus the flow v'' -> hub, in [g(v) - f(v), 0].
 
-    Dinic's phases: the search from the super-source builds one node mask
-    per level (u' at bit u, v'' at bit n + v, the hub at bit 2n) and stops
-    at the first level that holds a v'' with room left.  The blocking flow
-    is then walked back from those v'' one unit at a time, each step to a
-    node of the level before with a residual arc into the current one.  A
-    node with no such predecessor left drops out of its level, which is
-    Dinic's dead-end pruning.  Augmenting only adds arcs that run down a
-    level, so a dropped node stays dead for the rest of its phase.
+    Nodes are bits: u' at bit u, v'' at bit n + v, the hub at bit 2n.  Four
+    node masks hold the residual state outside F and are updated wherever
+    ``short`` or ``via`` changes: ``source``, the u' with ``short`` left;
+    ``sink``, the v'' with ``short`` left; ``up``, the nodes the hub can
+    still push into (via < via_max); and ``down``, the nodes that can still
+    push into the hub (via > via_min).  The greedy start gives each u', in
+    turn, its lowest ``short[u]`` neighbours v whose v'' is still in
+    ``sink``, all read from one mask.
+
+    Dinic's phases: the search from ``source`` builds one node mask per
+    level and stops at the first level that meets ``sink``; the hub's
+    successors are ``up``, and a level reaches the hub when it meets
+    ``down``.  The blocking flow is then walked back from those v'' one
+    unit at a time, each step to a node of the level before with a residual
+    arc into the current one.  A node with no such predecessor left drops
+    out of its level, which is Dinic's dead-end pruning.  Augmenting only
+    adds arcs that run down a level, so a dropped node stays dead for the
+    rest of its phase.
     """
     n = g.n
     adj = g.adj
     hub = 2 * n
+    hub_bit = 1 << hub
+    low = (1 << n) - 1  # every vertex, at bits 0..n-1
     short = [*lower, *lower]
     via = [0] * hub
     via_max = [hi - lo for lo, hi in zip(lower, upper)] + [0] * n
     via_min = [0] * n + [lo - hi for lo, hi in zip(lower, upper)]
     fo = [0] * n
     fi = [0] * n
+    room = up = 0  # room: the v whose v'' has short left, over bits 0..n-1
+    for x in range(n):
+        if lower[x]:
+            room |= 1 << x
+        if via_max[x]:
+            up |= 1 << x
+    down = up << n
 
     # greedy start: direct super-source -> u' -> v'' -> super-sink paths
+    source = 0
+    left = 0
     for u in range(n):
-        for v in _bits(adj[u]):
-            if short[u] and short[n + v]:
-                fo[u] |= 1 << v
-                fi[v] |= 1 << u
-                short[u] -= 1
-                short[n + v] -= 1
-    left = sum(short[:n])
+        k = short[u]
+        cand = adj[u] & room
+        while k and cand:
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            fo[u] |= bit
+            fi[v] |= 1 << u
+            k -= 1
+            short[n + v] -= 1
+            if not short[n + v]:
+                room ^= bit
+        short[u] = k
+        if k:
+            source |= 1 << u
+            left += k
+    sink = room << n
 
     while left:
-        seen = level = vertex_mask(u for u in range(n) if short[u])
+        seen = level = source
         levels = []
         while level:
-            ends = vertex_mask(x for x in _bits(level) if n <= x < hub and short[x])
+            ends = level & sink
             if ends:
                 levels.append(ends)
                 break
             levels.append(level)
-            nxt = 0
-            for x in _bits(level):
-                if x == hub:
-                    nxt |= vertex_mask(y for y in range(hub) if via[y] < via_max[y])
-                    continue
-                if via[x] > via_min[x]:
-                    nxt |= 1 << hub
-                nxt |= (adj[x] & ~fo[x]) << n if x < n else fi[x - n]
+            nxt = up if level & hub_bit else 0
+            if level & down:
+                nxt |= hub_bit
+            m = level & low  # u' -> v'' off F
+            out = 0
+            while m:
+                bit = m & -m
+                m ^= bit
+                u = bit.bit_length() - 1
+                out |= adj[u] & ~fo[u]
+            nxt |= out << n
+            m = level >> n & low  # v'' -> u' over F
+            while m:
+                bit = m & -m
+                m ^= bit
+                nxt |= fi[bit.bit_length() - 1]
             level = nxt & ~seen
             seen |= level
         else:
-            return None, tuple(x - n for x in _bits(seen) if n <= x < hub)
+            cut = []
+            m = seen >> n & low
+            while m:
+                bit = m & -m
+                m ^= bit
+                cut.append(bit.bit_length() - 1)
+            return None, tuple(cut)
 
         top = len(levels) - 1
         path: list[int] = []  # path[j] is a node of levels[top - j]
         while True:
             i = top - len(path)
             if i < 0:  # the super-source still feeds path[-1]: push one unit
-                for x, at in ((path[-1], 0), (path[0], top)):
-                    short[x] -= 1
-                    if not short[x]:
-                        levels[at] ^= 1 << x
+                x = path[-1]
+                short[x] -= 1
+                if not short[x]:
+                    levels[0] ^= 1 << x
+                    source ^= 1 << x
+                x = path[0]
+                short[x] -= 1
+                if not short[x]:
+                    levels[top] ^= 1 << x
+                    sink ^= 1 << x
                 for y, x in zip(path, path[1:]):  # along x -> y
                     if x == hub:
                         via[y] += 1
+                        down |= 1 << y
+                        if via[y] == via_max[y]:
+                            up ^= 1 << y
                     elif y == hub:
                         via[x] -= 1
+                        up |= 1 << x
+                        if via[x] == via_min[x]:
+                            down ^= 1 << x
                     else:  # u'v'' joins F, or v''u' leaves it
                         u, v = (x, y - n) if x < n else (y, x - n)
                         fo[u] ^= 1 << v
@@ -184,10 +248,10 @@ def solve(
             if not path:  # into the super-sink: from v'' with room left
                 cand = below
             elif path[-1] == hub:  # from u' or v'' with a residual arc into the hub
-                cand = vertex_mask(y for y in _bits(below) if via[y] > via_min[y])
+                cand = down
             else:  # from the hub; into u' from v'' over F, into v'' from u' off F
                 x = path[-1]
-                cand = (via[x] < via_max[x]) << hub
+                cand = (up >> x & 1) << hub
                 cand |= fo[x] << n if x < n else adj[x - n] & ~fi[x - n]
             cand &= below
             if cand:

@@ -325,6 +325,57 @@ def test_cut_set_is_the_least_minimiser_of_the_deficiency(case):
         assert s == tuple(sorted(meet)) and value[s] == least
 
 
+@st.composite
+def relabelled_graph_and_bounds_12_to_40(draw):
+    """G with uniform a < b, per-vertex g < f, or g = f on a bipartite G,
+    and a permutation pi of its vertices."""
+    n = draw(st.integers(12, 40))
+    kind = draw(st.sampled_from(["uniform", "per-vertex", "bipartite"]))
+    p = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]))
+    g = generate_random(n, p, draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        a = draw(st.integers(0, 3))
+        lower, upper = [a] * n, [draw(st.integers(a + 1, a + 2))] * n
+    elif kind == "per-vertex":
+        lower = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        upper = [lo + draw(st.integers(1, 2)) for lo in lower]
+    else:  # g = f: neither hub arc can carry flow
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        g = Graph(n, [(u, v) for u, v in g.edges if side[u] != side[v]])
+        lower = upper = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return g, lower, upper, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_graph_and_bounds_12_to_40())
+def test_relabelling_moves_neither_the_verdict_nor_the_cut_set(case):
+    # the least minimum cut is unique, so S(pi(G)) = pi(S(G)) whichever
+    # maximum flow each search built; the walk order does depend on the
+    # labels, so the two flows differ
+    g, lower, upper, pi = case
+    moved = Graph(g.n, [(pi[u], pi[v]) for u, v in g.edges])
+    moved_lower, moved_upper = [0] * g.n, [0] * g.n
+    for v in range(g.n):
+        moved_lower[pi[v]], moved_upper[pi[v]] = lower[v], upper[v]
+    s = solve(g, lower, upper)[1]
+    moved_s = solve(moved, moved_lower, moved_upper)[1]
+    assert (moved_s is None) == (s is None)
+    if s is not None:
+        assert moved_s == tuple(sorted(pi[v] for v in s))
+
+
+def test_solve_walks_set_bits_without_generators():
+    # the residual state is held as node masks, so every loop of solve
+    # walks set bits inline: no _bits, no vertex_mask, no generator
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(solve))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"_bits", "vertex_mask"}
+    assert not any(isinstance(node, ast.GeneratorExp) for node in ast.walk(tree))
+
+
 def test_extremal_h_minus_v0_violates_at_small_clique():
     # the nine criterion-3 graphs, up to 57 vertices after deleting V0: the
     # flow's own cut is the small clique, with no witness given
