@@ -2,8 +2,8 @@
 
 Each cell samples random graphs until its quota of premise-satisfying
 instances is reached, verifies the conclusion on each by exhaustive
-deletion enumeration, and tallies outcomes.  Sharpness entries run in
-targeted mode and are expected failures, never counterexamples.
+deletion enumeration, and tallies outcomes.  Sharpness entries run
+``extremal_sharpness`` and are expected failures, never counterexamples.
 """
 
 from fractions import Fraction

@@ -8,7 +8,8 @@ a-1+n+(a-1)/b as m grows but never reaches it, while deleting n chosen
 large-clique vertices destroys every [a,b]-factor.
 """
 
-from factorbench import build_extremal_H, check_vertex_deletion_all, threshold
+from factorbench import threshold
+from factorbench.avoidance import extremal_sharpness
 
 a, b, n = 2, 3, 1
 thr = threshold("A", a=a, b=b, n=n)
@@ -16,13 +17,8 @@ print(f"bound for (a,b,n)=({a},{b},{n}): {thr}\n")
 
 print(f"{'m':>2} {'vertices':>9} {'ratio':>7} {'below?':>7} {'delta at small clique':>22}")
 for m in (1, 2, 3, 4):
-    w = build_extremal_H(m, a, b, n)
-    verdict = check_vertex_deletion_all(
-        w.graph, a, b, n,
-        deletions=[w.default_v0()],
-        witnesses=[w.clique_small],
-    )
-    cert = verdict.counterexample.certificate.violation
+    w, _, refutation = extremal_sharpness(m, a, b, n)
+    cert = refutation.certificate.violation
     print(
         f"{m:>2} {w.graph.n:>9} {str(w.witness_ratio):>7} "
         f"{str(w.witness_ratio < thr):>7} {cert.delta:>22}"

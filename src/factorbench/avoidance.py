@@ -14,9 +14,10 @@ takes ``cap_n``.  Wherever an independent criterion route exists
 alongside the direct route, the two must agree; a disagreement is a bug,
 not a verdict.
 
-``extremal_sharpness`` is not such a check: it decides only the
-conclusion of targeted A on the sharpness construction, with the same
-witness/flow cross-check, and evaluates no premise.
+``extremal_sharpness`` is not such a check: it is the one check of A at
+a chosen deletion, the V0 of the sharpness construction H.  It decides
+only whether H - V0 has a factor, with a witness/flow cross-check, and
+evaluates no premise.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .factors import (
 )
 from .graphs import (
     DeletionSpec, ExtremalWitness, Graph, build_extremal_H, delete, delete_edges,
+    sharpness_order,
 )
 from .toughness import isolated_toughness, threshold
 
@@ -360,92 +362,26 @@ def check_vertex_deletion_all(
     b: int,
     n: int,
     *,
-    deletions: Iterable[Sequence[int]] | None = None,
-    witnesses: Iterable[Sequence[int]] | None = None,
     cap_deletions: int = DEFAULT_CAP_DELETIONS,
 ) -> AvoidanceVerdict:
     """Does G - V' have an [a,b]-factor for every n-subset V'?
 
-    Default mode enumerates every n-subset, at most ``cap_deletions`` of
-    them, and decides each G - V' by ``find_ab_factor``, in polynomial
-    time at any order: a factor it returns has passed
-    ``FactorCertificate.verify``, and a refusal carries the S of the
-    flow's least minimum cut, whose deficiency has been re-checked.  The
-    first refusal is the counterexample, and the verdict
-    carries no witnesses.  Since delta_G(V' u S) = delta_{G-V'}(S) + b*n,
-    some G - V' is refused exactly when some S with |S| >= n has
-    deficiency below b*n in G, the criterion the tests scan as an oracle.
-
-    Explicit ``deletions`` restrict the check to chosen n-subsets, e.g.
-    the deletion exhibited by the sharpness construction; optional
-    ``witnesses`` are candidate violating sets evaluated inside each
-    deleted graph, which refute existence without a global scan.  Each
-    chosen deletion is also decided by ``check_ab_factor``, which must
-    refuse wherever a witness violates; a refusal no witness explains
-    carries its certificate.
+    Every n-subset is enumerated, at most ``cap_deletions`` of them, and
+    each G - V' is decided by ``find_ab_factor``, in polynomial time at
+    any order: a factor it returns has passed ``FactorCertificate.verify``,
+    and a refusal carries the S of the flow's least minimum cut, whose
+    deficiency has been re-checked.  The first refusal is the
+    counterexample.  Since delta_G(V' u S) = delta_{G-V'}(S) + b*n, some
+    G - V' is refused exactly when some S with |S| >= n has deficiency
+    below b*n in G, the criterion the tests scan as an oracle.
     """
     params = {"a": a, "b": b, "n": n}
-    if deletions is None:
-        _gate(g, params, lambda: comb(g.n, n), cap_deletions)
-        witness_sets = ()
-    else:
-        _gate(g, params, cap_deletions=cap_deletions)
-        specs, witness_sets = _targeted_inputs(g, n, deletions, witnesses)
+    _gate(g, params, lambda: comb(g.n, n), cap_deletions)
     premises = theorem_premises("A", g, a=a, b=b, n=n)
-    if deletions is None:
-        counterexample = _first_counterexample(
-            g, _vertex_deletions(g, n), partial(find_ab_factor, a=a, b=b)
-        )
-    else:
-        counterexample = _vertex_deletion_targeted(g, a, b, specs, witness_sets)
-    return AvoidanceVerdict(
-        "A", params, premises, counterexample is None, counterexample, witness_sets
+    counterexample = _first_counterexample(
+        g, _vertex_deletions(g, n), partial(find_ab_factor, a=a, b=b)
     )
-
-
-def _targeted_inputs(g, n, deletions, witnesses):
-    """The chosen deletions as specs and the witnesses as sorted tuples,
-    each checked against G before any premise or deletion work."""
-    witness_sets = tuple(tuple(sorted(w)) for w in witnesses or ())
-    for w in witness_sets:
-        DeletionSpec.vertices(w).validate(g)
-    specs = []
-    for raw in deletions:
-        v0 = tuple(sorted(set(raw)))
-        if len(v0) != n:
-            raise ValueError(f"deletion {v0} is not an n-subset for n={n}")
-        spec = DeletionSpec.vertices(v0)
-        spec.validate(g)
-        for w in witness_sets:
-            if set(w) & set(v0):
-                raise ValueError(f"witness {w} intersects the deleted set {v0}")
-        specs.append(spec)
-    return specs, witness_sets
-
-
-def _vertex_deletion_targeted(g, a, b, specs, witness_sets) -> Counterexample | None:
-    """The first chosen deletion whose deleted graph ``check_ab_factor``
-    refuses, or None.  The refusal is certified by the first witness that
-    violates in G - V', else by the decider's S; a violating witness the
-    decider contradicts raises."""
-    for spec in specs:
-        res = delete(g, spec)
-        cert = check_ab_factor(res.graph, a, b)
-        index = {old: new for new, old in enumerate(res.original_labels)}
-        for w in witness_sets:
-            s_local = tuple(index[x] for x in w)
-            d = delta(res.graph, s_local, a, b)
-            if d < 0:
-                if cert.exists:
-                    raise RuntimeError(
-                        "witness claims a violation but the flow decision finds a factor"
-                    )
-                viol = FactorViolation(s_local, low_set(res.graph, s_local, a), d, 0)
-                cert = FactorCertificate(False, violation=viol)
-                break
-        if not cert.exists:
-            return Counterexample(spec, _lifted_refusal(cert.violation, res.original_labels))
-    return None
+    return AvoidanceVerdict("A", params, premises, counterexample is None, counterexample)
 
 
 def extremal_sharpness(
@@ -455,16 +391,33 @@ def extremal_sharpness(
     threshold of A at (a, b, n), and the refutation of an [a,b]-factor of
     H - V0 for H's default deletion V0, or None when there is none.
 
-    Only the conclusion of targeted A is decided: the small clique is
-    evaluated as the witness in H - V0, and the double-cover flow must
-    refuse wherever it violates, so a disagreement raises.  No premise is
-    evaluated; I(H) < threshold is what the construction shows, and the
-    witness ratio bounds it from above.  A campaign's extremal rows run
-    ``check_vertex_deletion_all`` and record the premises."""
+    H - V0 is decided by ``check_ab_factor``.  The small clique W is the
+    paper's witness, evaluated in H's labels by
+    delta_{H-V0}(W) = delta_H(W u V0) - b*n; where it violates, it
+    certifies the refusal, and a flow that finds a factor there raises.
+    Otherwise a refusal carries the flow's S.  No premise is evaluated;
+    I(H) < threshold is what the construction shows, and the witness ratio
+    bounds it from above.  A campaign's extremal rows add the premises.
+    A quad whose H has no V0 is refused before H is built."""
+    sharpness_order(m, a, b, n)
     w = build_extremal_H(m, a, b, n)
-    specs, witness_sets = _targeted_inputs(w.graph, n, [w.default_v0()], [w.clique_small])
-    counterexample = _vertex_deletion_targeted(w.graph, a, b, specs, witness_sets)
-    return w, threshold("A", a=a, b=b, n=n), counterexample
+    thr = threshold("A", a=a, b=b, n=n)
+    v0 = w.default_v0()
+    spec = DeletionSpec.vertices(v0)
+    res = delete(w.graph, spec)
+    cert = check_ab_factor(res.graph, a, b)
+    deleted = w.clique_small + v0
+    d = delta(w.graph, deleted, a, b) - b * n
+    if d < 0:
+        if cert.exists:
+            raise RuntimeError(
+                "witness claims a violation but the flow decision finds a factor"
+            )
+        viol = FactorViolation(w.clique_small, low_set(w.graph, deleted, a), d, 0)
+        return w, thr, Counterexample(spec, FactorCertificate(False, violation=viol))
+    if cert.exists:
+        return w, thr, None
+    return w, thr, Counterexample(spec, _lifted_refusal(cert.violation, res.original_labels))
 
 
 # -- edge deletion (star factors) ---------------------------------------------------

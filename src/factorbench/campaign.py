@@ -6,7 +6,7 @@ Premise filtering is rejection sampling: candidates are drawn from the
 (seed, p, n) grid in a fixed order, their premises evaluated, and the
 first ``quota`` premise-satisfying graphs per cell are kept.  Rejected
 draws are tallied per cell; they are not instances.  Sharpness entries
-from the extremal family run in targeted mode and are flagged
+from the extremal family run ``extremal_sharpness`` and are flagged
 expected-failure instead of counting as counterexamples.
 """
 
@@ -26,16 +26,15 @@ from .avoidance import (
     DEFAULT_CAP_DELETIONS,
     DEFAULT_CAP_N,
     THEOREMS,
+    AvoidanceVerdict,
     _check_params,
-    check_vertex_deletion_all,
+    extremal_sharpness,
     theorem_premises,
 )
 from .errors import CapExceeded
 from .graphs import (
-    GRAPH6_MAX_N, build_extremal_H, emit_graph6, extremal_order, generate_random,
-    parse_graph6,
+    GRAPH6_MAX_N, emit_graph6, generate_random, parse_graph6, sharpness_order,
 )
-from .toughness import threshold
 
 # the outcome counts of every ``cells`` row and of the aggregates
 OUTCOMES = ("verified", "vacuous", "counterexample", "capped")
@@ -119,9 +118,11 @@ class CampaignConfig:
             if len(quad) != 4:
                 raise ValueError(f"config field 'extremal': need m:a:b:n quads, got {quad}")
             try:
-                order = extremal_order(*quad)
-            except ValueError:
-                raise ValueError(f"config field 'extremal': invalid parameters {quad}") from None
+                order = sharpness_order(*quad)
+            except ValueError as exc:
+                raise ValueError(
+                    f"config field 'extremal': invalid parameters {quad}: {exc}"
+                ) from None
             if order > GRAPH6_MAX_N:
                 raise ValueError(
                     f"config field 'extremal': H{quad} has {order} vertices, and "
@@ -293,15 +294,13 @@ def _evaluate_instance(payload: dict) -> dict:
 
 def _evaluate_extremal(index: int, quad) -> dict:
     m, a, b, n = quad
-    w = build_extremal_H(m, a, b, n)
-    verdict = check_vertex_deletion_all(
-        w.graph, a, b, n, deletions=[w.default_v0()], witnesses=[w.clique_small]
+    w, thr, counterexample = extremal_sharpness(m, a, b, n)
+    verdict = AvoidanceVerdict(
+        "A", {"a": a, "b": b, "n": n}, theorem_premises("A", w.graph, a=a, b=b, n=n),
+        counterexample is None, counterexample, (w.clique_small,),
     )
-    thr = threshold("A", a=a, b=b, n=n)
     row = {
         "index": index,
-        "theorem": "A",
-        "params": {"a": a, "b": b, "n": n, "m": m},
         "graph6": emit_graph6(w.graph),
         "expected_failure": True,
         "sharpness": {
@@ -435,7 +434,6 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         rows.append(_evaluate_extremal(index, quad))
         index += 1
 
-    rows.sort(key=lambda r: r["index"])
     if config.extremal:
         quads = len(config.extremal)
         cell_stats.append(_cell_row("extremal", "A", {}, quads, quads))

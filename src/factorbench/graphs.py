@@ -346,6 +346,21 @@ def extremal_order(m: int, a: int, b: int, n: int) -> int:
     return m * (a - 1) + (m * b + 1) * (a + n)
 
 
+def sharpness_order(m: int, a: int, b: int, n: int) -> int:
+    """The vertex count of H(m, a, b, n), checked as ``extremal_order``
+    checks it, for a sharpness check that deletes V0: refused where the
+    large-clique vertices off the pendant matching, (mb+1)(a+n-2) of
+    them, are too few for ``default_v0`` to take n."""
+    order = extremal_order(m, a, b, n)
+    spare = (m * b + 1) * (a + n - 2)
+    if spare < n:
+        raise ValueError(
+            f"H({m},{a},{b},{n}) has no deletion V0: its large clique has {spare} "
+            f"vertices off the pendant matching, fewer than n={n}"
+        )
+    return order
+
+
 def build_extremal_H(m: int, a: int, b: int, n: int) -> ExtremalWitness:
     order = extremal_order(m, a, b, n)
     s_small = m * (a - 1)

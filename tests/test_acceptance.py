@@ -16,7 +16,6 @@ import pytest
 
 from factorbench import (
     Graph,
-    build_extremal_H,
     delete_edges,
     delete_vertices,
     generate_random,
@@ -24,7 +23,7 @@ from factorbench import (
 )
 from factorbench.avoidance import (
     check_edge_avoiding,
-    check_vertex_deletion_all,
+    extremal_sharpness,
     rho,
 )
 from factorbench.campaign import CampaignConfig, run_campaign
@@ -128,17 +127,13 @@ def test_criterion_3_sharpness_reproduction():
     cases = 0
     for a, b, n in [(2, 3, 1), (2, 4, 2), (3, 4, 1)]:
         for m in (1, 2, 3):
-            w = build_extremal_H(m, a, b, n)
+            w, thr, refutation = extremal_sharpness(m, a, b, n)
             ratio = w.witness_ratio
-            thr = threshold("A", a=a, b=b, n=n)
+            assert thr == threshold("A", a=a, b=b, n=n)
             assert ratio < thr, (m, a, b, n)
-            verdict = check_vertex_deletion_all(
-                w.graph, a, b, n,
-                deletions=[w.default_v0()],
-                witnesses=[w.clique_small],
-            )
-            assert not verdict.conclusion_holds
-            cert = verdict.counterexample.certificate.violation
+            assert refutation is not None
+            assert refutation.deletion.members == w.default_v0()
+            cert = refutation.certificate.violation
             assert set(cert.s) == set(w.clique_small)
             # a|T| - d_{G-S}(T) = (mb+1)(a-1) > mb(a-1) = b|S|, exactly
             a_t_minus_d = b * len(cert.s) - cert.delta

@@ -6,7 +6,7 @@ import inspect
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorbench import (
+    GRAPH6_MAX_N,
     CapExceeded,
     DeletionSpec,
     Graph,
@@ -38,6 +39,7 @@ from factorbench.avoidance import (
     check_theorem_E,
     check_vertex_deletion_all,
     enumerate_matchings,
+    extremal_sharpness,
     rho,
     theorem_premises,
 )
@@ -52,6 +54,7 @@ from factorbench.factors import (
     low_set,
     scan_deficiency,
 )
+from factorbench.graphs import extremal_order
 from factorbench.toughness import threshold
 from oracles import first_rho_violation
 
@@ -122,83 +125,69 @@ def test_vertex_deletion_validates_parameters():
         check_vertex_deletion_all(complete_graph(5), 1, 2, 0)
 
 
+# every H(m,a,b,n) with a >= 2 that graph6's short form can carry; its
+# (mb+1)(a+n) vertices outside the small clique bound each parameter by 20
+SHARPNESS_QUADS = [
+    (m, a, b, n)
+    for m, a, b, n in product(range(1, 21), range(2, 21), range(3, 21), range(1, 21))
+    if a < b and extremal_order(m, a, b, n) <= GRAPH6_MAX_N
+]
+
+
 def test_sharpness_h_fails_with_papers_deletion_and_witness():
+    assert len(SHARPNESS_QUADS) == 166
     w = build_extremal_H(1, 2, 3, 1)
     assert w.witness_ratio == Fraction(9, 4) < threshold("A", a=2, b=3, n=1)
-    verdict = check_vertex_deletion_all(
-        w.graph, 2, 3, 1, deletions=[w.default_v0()], witnesses=[w.clique_small]
-    )
-    assert verdict.outcome == "vacuous"  # premises fail: sharpness, not refutation
-    assert not verdict.conclusion_holds
-    cert = verdict.counterexample.certificate.violation
-    assert set(cert.s) == set(w.clique_small)
-    assert set(cert.t) == set(w.isolated_row)
-    assert cert.delta == -1
-
-
-def test_targeted_mode_rejects_overlapping_witness():
-    w = build_extremal_H(1, 2, 3, 1)
-    v0 = w.default_v0()
-    with pytest.raises(ValueError, match="intersects"):
-        check_vertex_deletion_all(w.graph, 2, 3, 1, deletions=[v0], witnesses=[v0])
-
-
-@pytest.mark.parametrize(
-    "n, deletions, witnesses, match",
-    [
-        (1, [(0, 1)], None, "not an n-subset"),
-        (2, [(0, 0)], None, r"deletion \(0,\) is not an n-subset"),
-        (1, [(99,)], None, "not a vertex"),
-        (1, [(0,)], [(99,)], "not a vertex"),
-        (1, [(1,), (0,)], [(0, 2)], "intersects"),
-    ],
-    ids=["wrong-size", "repeated-vertex", "deletion-outside", "witness-outside",
-         "second-deletion-overlaps"],
-)
-def test_targeted_mode_validates_before_premises(monkeypatch, n, deletions, witnesses, match):
-    def premises(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("premises computed before the inputs were validated")
-
-    monkeypatch.setattr(avoidance, "theorem_premises", premises)
-    with pytest.raises(ValueError, match=match):
-        check_vertex_deletion_all(
-            complete_graph(6), 2, 3, n, deletions=deletions, witnesses=witnesses
-        )
+    for m, a, b, n in SHARPNESS_QUADS:
+        w, thr, refutation = extremal_sharpness(m, a, b, n)
+        assert thr == threshold("A", a=a, b=b, n=n)
+        assert refutation.deletion == DeletionSpec.vertices(w.default_v0())
+        cert = refutation.certificate.violation
+        quad = (m, a, b, n)
+        assert (cert.s, cert.t, cert.delta) == (w.clique_small, w.isolated_row, 1 - a), quad
+        g_del, local = local_certificate(w.graph, refutation)
+        assert local.verify(g_del, a, b), quad
 
 
 def test_targeted_mode_on_positive_instance():
-    verdict = check_vertex_deletion_all(
-        complete_graph(6), 2, 3, 1, deletions=[(0,)], witnesses=[(1, 2)]
-    )
-    assert verdict.conclusion_holds
+    # a = 1 leaves the small clique empty; H(1,1,2,2) - V0 has a [1,2]-factor
+    w, _, refutation = extremal_sharpness(1, 1, 2, 2)
+    assert w.clique_small == () and refutation is None
 
 
-def test_targeted_mode_needs_no_search_budget():
-    # the largest sharpness instance: the witness refutes and the flow
+def test_targeted_mode_needs_no_search_budget(monkeypatch):
+    # the largest criterion-3 instance: the witness refutes and the flow
     # confirms, where no constructive search runs
-    w = build_extremal_H(3, 3, 4, 1)
-    verdict = check_vertex_deletion_all(
-        w.graph, 3, 4, 1, deletions=[w.default_v0()], witnesses=[w.clique_small]
-    )
-    assert not verdict.conclusion_holds
-    assert verdict.counterexample.certificate.violation.s == w.clique_small
-    # no witness at all: the flow decides the positive instance
-    verdict = check_vertex_deletion_all(complete_graph(6), 2, 3, 1, deletions=[(0,)])
-    assert verdict.conclusion_holds
+    def no_search(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("extremal_sharpness ran the constructive search")
+
+    monkeypatch.setattr(avoidance, "find_ab_factor", no_search)
+    w, _, refutation = extremal_sharpness(3, 3, 4, 1)
+    assert refutation.certificate.violation.s == w.clique_small
+
+
+def test_extremal_sharpness_lifts_a_refusal_no_witness_explains(monkeypatch):
+    # with the witness's deficiency hidden, the flow's own S certifies
+    monkeypatch.setattr(avoidance, "delta", lambda g, s, a, b: b)  # b*n at n = 1
+    w, _, refutation = extremal_sharpness(1, 2, 3, 1)
+    g_del, local = local_certificate(w.graph, refutation)
+    assert local.verify(g_del, 2, 3)
+    assert refutation.deletion.members == w.default_v0()
 
 
 def test_targeted_mode_witness_against_flow_raises(monkeypatch):
-    import factorbench.avoidance as avoidance
-
     monkeypatch.setattr(avoidance, "check_ab_factor", lambda g, a, b: FactorCertificate(True))
-    w = build_extremal_H(1, 2, 3, 1)
-    with pytest.raises(RuntimeError, match="witness claims a violation"):
-        check_vertex_deletion_all(
-            w.graph, 2, 3, 1, deletions=[w.default_v0()], witnesses=[w.clique_small]
-        )
-    # `extremal` decides through the same cross-check
     with pytest.raises(RuntimeError, match="witness claims a violation"):
         avoidance.extremal_sharpness(1, 2, 3, 1)
+
+
+def test_extremal_sharpness_refuses_a_quad_without_v0(monkeypatch):
+    def no_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("H was built for a quad without V0")
+
+    monkeypatch.setattr(avoidance, "build_extremal_H", no_work)
+    with pytest.raises(ValueError, match=r"H\(2,1,3,1\) has no deletion V0"):
+        extremal_sharpness(2, 1, 3, 1)
 
 
 def test_verdict_invariant_survives_optimised_mode():
@@ -555,15 +544,13 @@ def test_cap_is_checked_before_premises(monkeypatch, g, check, match):
     "check, name",
     [
         (lambda g: check_vertex_deletion_all(g, 2, 3, 1, cap_deletions=-5), "cap_deletions"),
-        (lambda g: check_vertex_deletion_all(g, 2, 3, 1, deletions=[(0,)], cap_deletions=-5),
-         "cap_deletions"),
         (lambda g: check_edge_deletion_star(g, 2, 1, cap_deletions=-5), "cap_deletions"),
         (lambda g: check_matching_deletion(g, 2, 3, 1, cap_deletions=-5), "cap_deletions"),
         (lambda g: check_theorem_D(g, 2, 3, 1, cap_deletions=-5), "cap_deletions"),
         (lambda g: check_theorem_E(g, 2, 3, cap_deletions=-5), "cap_deletions"),
         (lambda g: check_lemma_D1(g, 2, 3, 1, 2, cap_n=-5), "cap_n"),
     ],
-    ids=["A-full", "A-targeted", "B", "C", "D", "E", "D1"],
+    ids=["A-full", "B", "C", "D", "E", "D1"],
 )
 def test_negative_cap_is_refused_before_premises(monkeypatch, check, name):
     def no_premise_work(*args, **kwargs):  # pragma: no cover - must not run
@@ -584,14 +571,9 @@ def test_deletion_checks_answer_beyond_the_subset_cap():
         check_theorem_D(claw, 1, 2, 1),
         check_theorem_E(claw, 1, 2),
         check_edge_avoiding(claw, (0, 1), 1, 2),
-        check_vertex_deletion_all(claw, 1, 2, 1, deletions=[(1,)]),
     ):
-        ce = verdict.counterexample
-        assert ce.certificate.violation.s == (0,)
-        if ce.deletion.kind == "vertices" and ce.deletion.members:
-            assert ce.certificate.violation.delta == -16
-        else:
-            assert ce.certificate.violation.delta == -17
+        violation = verdict.counterexample.certificate.violation
+        assert (violation.s, violation.delta) == ((0,), -17)
     g = generate_random(40, Fraction(3, 10), 11)
     for verdict in (
         check_edge_deletion_star(g, 4, 1, cap_deletions=1000),
@@ -607,8 +589,7 @@ def test_deletion_checks_answer_beyond_the_subset_cap():
     "check, match",
     [
         (lambda g: check_vertex_deletion_all(g, 2, 2, 1), r"need 1 <= a < b, got a=2, b=2"),
-        (lambda g: check_vertex_deletion_all(g, 2, 3, 0, deletions=[()]),
-         "n must be >= 1, got 0"),
+        (lambda g: extremal_sharpness(1, 2, 3, 0), "n must be >= 1, got 0"),
         # B is proved for 1 <= n <= m/2, so m = 1 is never in range
         (lambda g: check_edge_deletion_star(g, 1, 1), "m must be >= 2, got 1"),
         (lambda g: check_matching_deletion(g, 2, 3, 0), "n must be >= 1, got 0"),

@@ -102,7 +102,9 @@ def valid_configs(draw):
         e_ab=draw(_pairs), d1_ab=d1_ab, d1_n=d1_n, d1_k=d1_k,
         extremal=tuple(draw(st.lists(
             st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
-                      st.integers(1, 3)).map(lambda q: (q[0], q[1], q[1] + q[2], q[3])),
+                      st.integers(1, 3)).map(lambda q: (q[0], q[1], q[1] + q[2], q[3]))
+            # a = 1 with n = 1 leaves H without a deletion V0
+            .filter(lambda q: q[1] > 1 or q[3] > 1),
             max_size=2,
         ))),
         output_json=draw(_paths),
@@ -178,8 +180,7 @@ def test_config_refuses_a_negative_cap_before_any_work(monkeypatch, key):
     def no_work(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("premise or deletion work ran for an invalid config")
 
-    for work in ("generate_random", "theorem_premises", "build_extremal_H",
-                 "check_vertex_deletion_all"):
+    for work in ("generate_random", "theorem_premises", "extremal_sharpness"):
         monkeypatch.setattr(campaign, work, no_work)
     for row in avoidance.THEOREMS.values():
         monkeypatch.setattr(avoidance, row.check, no_work)
@@ -189,6 +190,25 @@ def test_config_refuses_a_negative_cap_before_any_work(monkeypatch, key):
     with pytest.raises(ValueError, match=message):
         run_campaign(small_config(extremal=((1, 2, 3, 1),), **{key: -1}))
     small_config(**{key: 0}).validate()
+
+
+def test_config_refuses_an_extremal_quad_without_v0_before_any_draw(monkeypatch):
+    import factorbench.campaign as campaign
+
+    def no_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("a draw or an extremal check ran for an invalid config")
+
+    for work in ("generate_random", "extremal_sharpness"):
+        monkeypatch.setattr(campaign, work, no_work)
+    message = (
+        r"config field 'extremal': invalid parameters \(1, 1, 2, 1\): H\(1,1,2,1\) has no "
+        r"deletion V0: its large clique has 0 vertices off the pendant matching, fewer than n=1"
+    )
+    with pytest.raises(ValueError, match=message):
+        CampaignConfig.from_text("extremal = 1:1:2:1\n")
+    with pytest.raises(ValueError, match=message):
+        run_campaign(small_config(extremal=((1, 1, 2, 1),)))
+    small_config(extremal=((1, 1, 2, 2),)).validate()
 
 
 def test_config_rejects_extremal_beyond_graph6():
@@ -274,11 +294,15 @@ def test_campaign_is_deterministic_modulo_timestamp():
 
 
 def test_campaign_parallel_matches_serial():
-    serial = run_campaign(small_config()).to_json_dict()
-    parallel = run_campaign(small_config(), workers=2).to_json_dict()
+    config = small_config(extremal=((1, 2, 3, 1),))
+    serial = run_campaign(config).to_json_dict()
+    parallel = run_campaign(config, workers=2).to_json_dict()
     for d in (serial, parallel):
         d["header"].pop("timestamp")
         d["header"].pop("workers")
+        # rows come in instance order, the extremal row last
+        assert [r["index"] for r in d["instances"]] == list(range(len(d["instances"])))
+        assert d["instances"][-1]["expected_failure"]
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
 
@@ -297,6 +321,13 @@ def test_campaign_extremal_rows_are_expected_failures():
         "toughness": {"holds": False, "detail": "I(G) = 5/4 < 7/3 (threshold A)"},
     }
     assert row["witnesses"] == [[0]]
+    # the verdict's parameters replace the quad, and the small clique
+    # certifies the refusal of H - V0
+    assert row["params"] == {"a": 2, "b": 3, "n": 1}
+    assert row["counterexample"] == {
+        "deletion": {"kind": "vertices", "members": [9]},
+        "certificate": {"verdict": "none", "S": [0], "T": [1, 2, 3, 4], "delta": -1},
+    }
     assert report.counterexamples == []  # not counted as counterexamples
 
 

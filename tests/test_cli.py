@@ -464,7 +464,7 @@ def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the check ran before the size was rejected")
 
-    monkeypatch.setattr(avoidance, "_vertex_deletion_targeted", no_work)
+    monkeypatch.setattr(avoidance, "check_ab_factor", no_work)
     code, out, err = run_cli(capsys, ["extremal", "--m", "3", "--a", "3", "--b", "5", "--n", "2"])
     assert code == 2
     assert out == ""
@@ -478,13 +478,34 @@ def test_extremal_rejects_graph6_overflow_before_work(capsys, monkeypatch):
 
 
 def test_extremal_without_refutation_reports_negative(capsys, monkeypatch):
-    import factorbench.avoidance as avoidance
+    import factorbench.cli as cli
 
-    monkeypatch.setattr(avoidance, "_vertex_deletion_targeted", lambda *args: None)
+    sharpness = cli.extremal_sharpness
+    monkeypatch.setattr(cli, "extremal_sharpness", lambda *quad: (*sharpness(*quad)[:2], None))
     code, out, _ = run_cli(capsys, ["extremal", "--m", "1", "--a", "2", "--b", "3", "--n", "1"])
     assert code == 1
     payload = json.loads(out)
     assert payload["violation"] is None and payload["identity"] is None
+
+
+def test_extremal_refuses_a_quad_without_v0_before_work(capsys, monkeypatch):
+    # a = 1 with n = 1 leaves no large-clique vertex off the pendant matching
+    import factorbench.avoidance as avoidance
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("H was built for a quad without V0")
+
+    monkeypatch.setattr(avoidance, "build_extremal_H", no_work)
+    code, out, err = run_cli(capsys, ["extremal", "--m", "1", "--a", "1", "--b", "2", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: H(1,1,2,1) has no deletion V0: its large clique has 0 vertices "
+        "off the pendant matching, fewer than n=1\n"
+    )
+    # with n = 2 there is a V0, and H - V0 keeps a [1,2]-factor
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, ["extremal", "--m", "1", "--a", "1", "--b", "2", "--n", "2"])
+    assert code == 1 and json.loads(out)["violation"] is None
 
 
 def test_factor_decides_beyond_the_scan_cap(tmp_path, capsys):
