@@ -16,13 +16,13 @@ not a verdict.
 
 ``extremal_sharpness`` is not such a check: it is the one check of A at
 a chosen deletion, the V0 of the sharpness construction H.  It decides
-only whether H - V0 has a factor, with a witness/flow cross-check, and
-evaluates no premise.
+only whether H - V0 has a factor, in the same refusal loop, with a
+witness/flow cross-check, and evaluates no premise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice
@@ -75,20 +75,19 @@ class Counterexample:
 @dataclass(frozen=True, slots=True)
 class AvoidanceVerdict:
     """Three-valued outcome of one theorem check on one instance:
-    premises-failed instances are vacuous rather than counterexamples."""
+    premises-failed instances are vacuous rather than counterexamples.
+    The conclusion holds exactly when no counterexample is given."""
 
     theorem: str
     params: dict
     premises: tuple[Premise, ...]
-    conclusion_holds: bool
     counterexample: Counterexample | None = None
+    _: KW_ONLY
     witnesses: tuple = ()
 
-    def __post_init__(self):
-        if (self.counterexample is not None) == self.conclusion_holds:
-            raise ValueError(
-                "a verdict carries a counterexample exactly when its conclusion fails"
-            )
+    @property
+    def conclusion_holds(self) -> bool:
+        return self.counterexample is None
 
     @property
     def premises_hold(self) -> bool:
@@ -324,14 +323,6 @@ def _gate(
     return drawn
 
 
-def _lifted_refusal(v: FactorViolation, labels: Sequence[int]) -> FactorCertificate:
-    """The refusal certified by a violation of a deleted graph, in the
-    labels of the original graph."""
-    return FactorCertificate(False, violation=FactorViolation(
-        tuple(labels[x] for x in v.s), tuple(labels[x] for x in v.t), v.delta, v.bound,
-    ))
-
-
 def _vertex_deletions(g: Graph, size: int) -> Iterable[DeletionSpec]:
     return (DeletionSpec.vertices(vs) for vs in combinations(range(g.n), size))
 
@@ -349,7 +340,11 @@ def _first_counterexample(
         res = delete(g, spec)
         cert = decide(res.graph)
         if not cert.exists:
-            return Counterexample(spec, _lifted_refusal(cert.violation, res.original_labels))
+            v, labels = cert.violation, res.original_labels
+            lifted = FactorViolation(
+                tuple(labels[x] for x in v.s), tuple(labels[x] for x in v.t), v.delta, v.bound
+            )
+            return Counterexample(spec, FactorCertificate(False, violation=lifted))
     return None
 
 
@@ -381,7 +376,7 @@ def check_vertex_deletion_all(
     counterexample = _first_counterexample(
         g, _vertex_deletions(g, n), partial(find_ab_factor, a=a, b=b)
     )
-    return AvoidanceVerdict("A", params, premises, counterexample is None, counterexample)
+    return AvoidanceVerdict("A", params, premises, counterexample)
 
 
 def extremal_sharpness(
@@ -391,33 +386,31 @@ def extremal_sharpness(
     threshold of A at (a, b, n), and the refutation of an [a,b]-factor of
     H - V0 for H's default deletion V0, or None when there is none.
 
-    H - V0 is decided by ``check_ab_factor``.  The small clique W is the
+    H - V0 is decided by ``check_ab_factor`` in the shared refusal loop,
+    which lifts a refusal to H's labels.  The small clique W is the
     paper's witness, evaluated in H's labels by
     delta_{H-V0}(W) = delta_H(W u V0) - b*n; where it violates, it
     certifies the refusal, and a flow that finds a factor there raises.
-    Otherwise a refusal carries the flow's S.  No premise is evaluated;
-    I(H) < threshold is what the construction shows, and the witness ratio
-    bounds it from above.  A campaign's extremal rows add the premises.
+    Otherwise a refusal carries the flow's S.  No premise is evaluated:
+    the witness ratio, printed beside the threshold, bounds I(H) from
+    above.  A campaign's extremal rows add the premises.
     A quad whose H has no V0 is refused before H is built."""
     sharpness_order(m, a, b, n)
     w = build_extremal_H(m, a, b, n)
     thr = threshold("A", a=a, b=b, n=n)
     v0 = w.default_v0()
     spec = DeletionSpec.vertices(v0)
-    res = delete(w.graph, spec)
-    cert = check_ab_factor(res.graph, a, b)
+    refusal = _first_counterexample(w.graph, [spec], partial(check_ab_factor, a=a, b=b))
     deleted = w.clique_small + v0
     d = delta(w.graph, deleted, a, b) - b * n
     if d < 0:
-        if cert.exists:
+        if refusal is None:
             raise RuntimeError(
                 "witness claims a violation but the flow decision finds a factor"
             )
         viol = FactorViolation(w.clique_small, low_set(w.graph, deleted, a), d, 0)
         return w, thr, Counterexample(spec, FactorCertificate(False, violation=viol))
-    if cert.exists:
-        return w, thr, None
-    return w, thr, Counterexample(spec, _lifted_refusal(cert.violation, res.original_labels))
+    return w, thr, refusal
 
 
 # -- edge deletion (star factors) ---------------------------------------------------
@@ -440,9 +433,7 @@ def check_edge_deletion_star(
     premises = theorem_premises("B", g, m=m, n=n)
     specs = map(DeletionSpec.edges, combinations(g.edges, n))
     counterexample = _first_counterexample(g, specs, partial(check_ab_factor, a=1, b=m))
-    return AvoidanceVerdict(
-        "B", params, premises, counterexample is None, counterexample
-    )
+    return AvoidanceVerdict("B", params, premises, counterexample)
 
 
 # -- matching deletion ---------------------------------------------------------------
@@ -493,9 +484,7 @@ def check_matching_deletion(
     counterexample = _first_counterexample(
         g, map(DeletionSpec.matching, matchings), partial(check_ab_factor, a=a, b=b)
     )
-    return AvoidanceVerdict(
-        "C", params, premises, counterexample is None, counterexample
-    )
+    return AvoidanceVerdict("C", params, premises, counterexample)
 
 
 # -- single-edge avoidance -------------------------------------------------------------
@@ -547,7 +536,7 @@ def check_edge_avoiding(
     counterexample = _first_counterexample(
         g, [DeletionSpec.edge(u, v)], partial(find_ab_factor, a=a, b=b)
     )
-    return AvoidanceVerdict("LemmaH", params, (), counterexample is None, counterexample)
+    return AvoidanceVerdict("LemmaH", params, (), counterexample)
 
 
 # -- hierarchy and pair-deletion statements ----------------------------------------------
@@ -582,13 +571,7 @@ def check_theorem_D(
             )
         )
     consequent_fail = _first_counterexample(g, _vertex_deletions(g, n - 1), decide)
-    return AvoidanceVerdict(
-        "D",
-        params,
-        tuple(premises),
-        consequent_fail is None,
-        consequent_fail,
-    )
+    return AvoidanceVerdict("D", params, tuple(premises), consequent_fail)
 
 
 def check_theorem_E(
@@ -608,9 +591,7 @@ def check_theorem_E(
     counterexample = _first_counterexample(
         g, (DeletionSpec.edge(*e) for e in g.edges), partial(check_ab_factor, a=a, b=b)
     )
-    return AvoidanceVerdict(
-        "E", params, premises, counterexample is None, counterexample
-    )
+    return AvoidanceVerdict("E", params, premises, counterexample)
 
 
 def check_lemma_D1(
@@ -631,8 +612,6 @@ def check_lemma_D1(
         g, a, b, bound=k * n, min_size=0, require_t=True, cap_n=cap_n
     )
     if violation is None:
-        return AvoidanceVerdict("LemmaD1", params, premises, True, None)
+        return AvoidanceVerdict("D1", params, premises)
     cert = FactorCertificate(False, violation=violation)
-    return AvoidanceVerdict(
-        "LemmaD1", params, premises, False, Counterexample(None, cert)
-    )
+    return AvoidanceVerdict("D1", params, premises, Counterexample(None, cert))

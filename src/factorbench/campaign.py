@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -285,9 +285,6 @@ def _evaluate_instance(payload: dict) -> dict:
         row["error"] = str(exc)
         return row
     row.update(verdict.to_json_dict())
-    # the campaign cell tag is authoritative for grouping (the verdict tag
-    # may be the underlying lemma's, e.g. LemmaD1 for the D1 cells)
-    row["theorem"] = theorem
     row["params"] = params
     return row
 
@@ -297,7 +294,7 @@ def _evaluate_extremal(index: int, quad) -> dict:
     w, thr, counterexample = extremal_sharpness(m, a, b, n)
     verdict = AvoidanceVerdict(
         "A", {"a": a, "b": b, "n": n}, theorem_premises("A", w.graph, a=a, b=b, n=n),
-        counterexample is None, counterexample, (w.clique_small,),
+        counterexample, witnesses=(w.clique_small,),
     )
     row = {
         "index": index,
@@ -317,19 +314,20 @@ def _evaluate_extremal(index: int, quad) -> dict:
 @dataclass
 class CampaignReport:
     """Deterministic record of one campaign run.  The timestamp lives in a
-    single header field so golden comparisons can drop it."""
+    single header field so golden comparisons can drop it.  ``aggregates``
+    is counted from ``instances`` whenever it is read."""
 
     header: dict
     cells: list
     instances: list
-    aggregates: dict = field(default_factory=dict)
 
-    def finalize(self) -> None:
+    @property
+    def aggregates(self) -> dict:
         counts = dict.fromkeys(OUTCOMES, 0)
         for row in self.instances:
             counts[row["outcome"]] += 1
         counts["total"] = len(self.instances)
-        self.aggregates = counts
+        return counts
 
     @property
     def counterexamples(self) -> list:
@@ -386,6 +384,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     config.validate()
     pending: list[dict] = []
     cell_stats: list[dict] = []
+    row_cells: list[int] = []  # the index in cell_stats of each row's cell
     index = 0
     # one p text per p value, and one graph6 string per draw, shared by the
     # rows of every cell that keeps that draw
@@ -418,6 +417,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                     "cap_deletions": config.cap_deletions,
                 }
             )
+            row_cells.append(len(cell_stats))
             index += 1
         cell_stats.append(_cell_row(cell.label(), cell.theorem, cell.params, draws, kept))
 
@@ -432,18 +432,14 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
 
     for quad in config.extremal:
         rows.append(_evaluate_extremal(index, quad))
+        row_cells.append(len(cell_stats))
         index += 1
 
     if config.extremal:
         quads = len(config.extremal)
         cell_stats.append(_cell_row("extremal", "A", {}, quads, quads))
-    by_label = {c["label"]: c for c in cell_stats}
-    for row in rows:
-        if row["expected_failure"]:
-            label = "extremal"
-        else:
-            label = Cell(row["theorem"], row["params"]).label()
-        by_label[label][row["outcome"]] += 1
+    for row, cell in zip(rows, row_cells):
+        cell_stats[cell][row["outcome"]] += 1
 
     report = CampaignReport(
         header={
@@ -455,7 +451,6 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         cells=cell_stats,
         instances=rows,
     )
-    report.finalize()
     if config.output_json:
         report.write_json(config.output_json)
     if config.output_csv:

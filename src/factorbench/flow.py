@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, _bits, vertex_mask
+from .graphs import Graph, _bits
 
 
 def round_factor(f: tuple[list[int], list[int]], b: int) -> tuple[tuple[int, int], ...]:

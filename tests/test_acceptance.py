@@ -142,8 +142,11 @@ def test_criterion_3_sharpness_reproduction():
             assert a_t_minus_d > b * len(cert.s)
             cases += 1
     print(
-        f"\n[criterion 3] PASS sharpness on {cases} (m,a,b,n) instances, "
-        f"exact ratio/threshold and deficiency identities ({time.time() - t0:.1f}s)"
+        f"\n[criterion 3] PASS sharpness construction on {cases} (m,a,b,n) instances: "
+        f"H - V0 refused with S = W, witness ratio below A's threshold, exact "
+        f"deficiency identities; not shown: that the bound is tight, as I(H) lies "
+        f"far below the threshold and H has no factor even before V0 is deleted "
+        f"({time.time() - t0:.1f}s)"
     )
 
 

@@ -30,6 +30,7 @@ from factorbench import (
 )
 from factorbench import avoidance, cli, factors, matching
 from factorbench.avoidance import (
+    THEOREMS,
     Premise,
     check_edge_avoiding,
     check_edge_deletion_star,
@@ -47,6 +48,7 @@ from factorbench.factors import (
     FactorCertificate,
     FactorViolation,
     brute_force_factor,
+    check_ab_factor,
     check_star_factor,
     delta,
     find_ab_factor,
@@ -149,6 +151,21 @@ def test_sharpness_h_fails_with_papers_deletion_and_witness():
         assert local.verify(g_del, a, b), quad
 
 
+def test_criterion_3_h_is_refused_before_any_deletion():
+    # what criterion 3 does not show: H itself already has no [a,b]-factor,
+    # refused at the small clique W, so deleting V0 plays no part; and on
+    # four of the nine quads H misses A's minimum-degree premise a + n
+    low_degree = {(1, 2, 3, 1), (1, 2, 4, 2), (2, 2, 4, 2), (1, 3, 4, 1)}
+    for a, b, n in [(2, 3, 1), (2, 4, 2), (3, 4, 1)]:
+        for m in (1, 2, 3):
+            quad = (m, a, b, n)
+            w = build_extremal_H(*quad)
+            cert = check_ab_factor(w.graph, a, b)
+            assert not cert.exists and cert.verify(w.graph, a, b), quad
+            assert (cert.violation.s, cert.violation.delta) == (w.clique_small, -(a - 1)), quad
+            assert (w.graph.min_degree() < a + n) == (quad in low_degree), quad
+
+
 def test_targeted_mode_on_positive_instance():
     # a = 1 leaves the small clique empty; H(1,1,2,2) - V0 has a [1,2]-factor
     w, _, refutation = extremal_sharpness(1, 1, 2, 2)
@@ -198,16 +215,32 @@ def test_verdict_invariant_survives_optimised_mode():
     import factorbench
 
     src = os.path.dirname(os.path.dirname(factorbench.__file__))
+    # the conclusion is read off the counterexample, so no verdict can
+    # disagree with its own counterexample, asserts stripped or not; the
+    # retired five-argument form, with a stored conclusion, is refused
     code = (
-        "from factorbench.avoidance import AvoidanceVerdict\n"
-        "AvoidanceVerdict('A', {}, (), False, None)\n"
+        "from factorbench.avoidance import AvoidanceVerdict, Counterexample\n"
+        "from factorbench.factors import FactorCertificate, FactorViolation\n"
+        "cert = FactorCertificate(False, violation=FactorViolation((0,), (), -1, 0))\n"
+        "refuted = AvoidanceVerdict('A', {}, (), Counterexample(None, cert))\n"
+        "held = AvoidanceVerdict('A', {}, ())\n"
+        "print(refuted.conclusion_holds, refuted.outcome, held.conclusion_holds, held.outcome)\n"
+        "AvoidanceVerdict('A', {}, (), True, None)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
+    assert proc.stdout == "False counterexample True verified\n"
     assert proc.returncode != 0
-    assert "ValueError" in proc.stderr
+    assert "TypeError" in proc.stderr
+
+
+@pytest.mark.parametrize("tag", list(THEOREMS))
+def test_every_check_returns_its_theorem_tag(tag):
+    params = {"a": 2, "b": 3, "n": 1, "m": 2, "k": 2, "edge": (0, 1)}
+    verdict = THEOREMS[tag].run(complete_graph(5), params, cap_n=12, cap_deletions=500)
+    assert verdict.theorem == tag
 
 
 # -- edge deletion / star factors ---------------------------------------------------

@@ -400,7 +400,7 @@ def test_campaign_runs_the_check_bound_on_avoidance(monkeypatch):
 
     def fake_check(g, a, b, n, k, **limits):
         calls.append((a, b, n, k, sorted(limits)))
-        return AvoidanceVerdict("LemmaD1", {}, (), True, None)
+        return AvoidanceVerdict("D1", {}, ())
 
     monkeypatch.setattr(avoidance, "check_lemma_D1", fake_check)
     report = run_campaign(small_config(theorems=("D1",)))
@@ -417,7 +417,7 @@ def test_campaign_gives_full_mode_a_only_the_deletion_cap(monkeypatch):
 
     def fake_check(g, a, b, n, **limits):
         calls.append((a, b, n, sorted(limits)))
-        return AvoidanceVerdict("A", {}, (), True, None)
+        return AvoidanceVerdict("A", {}, ())
 
     monkeypatch.setattr(avoidance, "check_vertex_deletion_all", fake_check)
     report = run_campaign(small_config(theorems=("A",)))

@@ -330,7 +330,7 @@ def test_avoid_runs_the_check_bound_on_avoidance(tmp_path, capsys, monkeypatch):
 
     def fake_check(g, a, b, n, **limits):
         calls.append((g.n, a, b, n, sorted(limits)))
-        return AvoidanceVerdict("C", {"a": a, "b": b, "n": n}, (), True, None)
+        return AvoidanceVerdict("C", {"a": a, "b": b, "n": n}, ())
 
     monkeypatch.setattr(avoidance, "check_matching_deletion", fake_check)
     path = tmp_path / "c5.g6"
