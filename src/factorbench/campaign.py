@@ -114,6 +114,12 @@ class CampaignConfig:
                         raise ValueError(
                             f"config field '{key}': need an integer >= 2 or 'b', got {k}"
                         )
+        # the report stores every draw as graph6
+        if self.n_max > GRAPH6_MAX_N:
+            raise ValueError(
+                f"config field 'n_max': graph6 short form supports at most "
+                f"{GRAPH6_MAX_N} vertices, got {self.n_max}"
+            )
         for quad in self.extremal:
             if len(quad) != 4:
                 raise ValueError(f"config field 'extremal': need m:a:b:n quads, got {quad}")
@@ -199,6 +205,8 @@ class CampaignConfig:
             if key not in by_key:
                 raise ValueError(f"config line {lineno}: unknown field {key!r}")
             f = by_key[key]
+            if f.name in values:
+                raise ValueError(f"config line {lineno}: repeated field {key!r}")
             values[f.name] = _parse_value(f, key, value.strip())
         config = cls(**values)
         config.validate()

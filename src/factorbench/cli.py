@@ -6,17 +6,14 @@ output is JSON (certificates, verdicts, reports) plus CSV summaries.
 
 Exit codes: 0 = positive verdict / verified, 1 = negative verdict or
 counterexample, 2 = usage, parse, or config error, 3 = enumeration cap
-exceeded: a deletion family over ``--cap-deletions``, whose default
-FACTORBENCH_CAP_DELETIONS sets.  No subcommand scans subsets, so none
-takes a vertex cap; only campaigns bound D1's scan, by ``cap_n``.
+exceeded: a deletion family over ``--cap-deletions``.  No subcommand scans
+subsets, so none takes a vertex cap; only campaigns bound D1's scan, by
+``cap_n``.
 
-The parser is built once per process, on the first `main` call.  The cap
-variable is read on every call, so a changed variable takes effect on
-the next in-process call, and a non-integer or negative variable exits 2
-on every subcommand; a negative ``--cap-deletions`` exits 2 as well.  Any
-other set FACTORBENCH_CAP_* variable, such as the retired vertex cap,
-exits 2 on every subcommand too, as an unknown flag does, rather than
-being silently ignored.
+The parser is built once per process, on the first `main` call.  No
+environment variable sets a cap: every call refuses a set
+FACTORBENCH_CAP_* variable with exit 2 on every subcommand, as an unknown
+flag is refused, rather than silently ignoring it.
 """
 
 from __future__ import annotations
@@ -42,37 +39,23 @@ EXIT_ERROR = 2
 EXIT_RESOURCE = 3
 
 
-_CAP_VARIABLE = "FACTORBENCH_CAP_DELETIONS"
-
-
-def _env_cap() -> int:
+def _refuse_cap_variables() -> None:
     for name in sorted(os.environ):
-        if name.startswith("FACTORBENCH_CAP_") and name != _CAP_VARIABLE:
+        if name.startswith("FACTORBENCH_CAP_"):
             raise ValueError(
-                f"environment variable {name} is not read; {_CAP_VARIABLE} is the only cap"
+                f"environment variable {name} is not read; --cap-deletions is the only cap"
             )
-    value = os.environ.get(_CAP_VARIABLE)
-    if value is None:
-        return DEFAULT_CAP_DELETIONS
+
+
+def _cap(text: str) -> int:
+    """The ``--cap-deletions`` value: an integer >= 0, checked at parse time."""
     try:
-        cap = int(value)
+        cap = int(text)
     except ValueError:
-        raise ValueError(
-            f"environment variable {_CAP_VARIABLE} must be an integer, got {value!r}"
-        ) from None
+        cap = -1
     if cap < 0:
-        raise ValueError(f"environment variable {_CAP_VARIABLE} must be >= 0, got {cap}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return cap
-
-
-def _resolve_cap(args, env_cap: int) -> None:
-    """Give ``--cap-deletions``, where ``args`` has it and the command line
-    left it unset, its environment value, and refuse a negative one."""
-    flag = getattr(args, "cap_deletions", env_cap)
-    if flag is None:
-        args.cap_deletions = env_cap
-    elif flag < 0:
-        raise ValueError(f"--cap-deletions must be >= 0, got {flag}")
 
 
 def _edge(text: str) -> tuple[int, int]:
@@ -230,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="star size bound (edges mode)")
     p.add_argument("--n", type=int, help="number of deleted objects")
     p.add_argument("--edge", type=_edge, help="single edge as 'u,v' (edge mode)")
-    p.add_argument("--cap-deletions", type=int,
-                   help="max enumerated deletions per instance")
+    p.add_argument("--cap-deletions", type=_cap, default=DEFAULT_CAP_DELETIONS,
+                   help="max enumerated deletions per instance (default %(default)s)")
     p.set_defaults(func=cmd_avoid)
 
     p = sub.add_parser("extremal", help="sharpness construction demo")
@@ -254,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        env_cap = _env_cap()
+        _refuse_cap_variables()
         args = build_parser().parse_args(argv)
-        _resolve_cap(args, env_cap)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,6 +224,34 @@ def test_config_rejects_extremal_beyond_graph6():
         CampaignConfig.from_text("extremal = 1:2:3:40\n")
 
 
+def test_config_refuses_n_max_beyond_graph6_before_any_draw(monkeypatch):
+    import factorbench.campaign as campaign
+    from factorbench import GRAPH6_MAX_N
+
+    def no_work(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("a draw or a premise ran for an invalid config")
+
+    for work in ("generate_random", "theorem_premises"):
+        monkeypatch.setattr(campaign, work, no_work)
+    message = (
+        rf"config field 'n_max': graph6 short form supports at most {GRAPH6_MAX_N} "
+        rf"vertices, got {GRAPH6_MAX_N + 1}"
+    )
+    with pytest.raises(ValueError, match=message):
+        CampaignConfig.from_text(f"theorems = A\nn_min = 6\nn_max = {GRAPH6_MAX_N + 1}\n")
+    with pytest.raises(ValueError, match="got 70"):
+        run_campaign(small_config(n_min=70, n_max=70))
+    small_config(n_max=GRAPH6_MAX_N).validate()
+
+
+def test_config_refuses_a_repeated_field():
+    with pytest.raises(ValueError, match=r"config line 2: repeated field 'quota'"):
+        CampaignConfig.from_text("quota = 1\nquota = 2\n")
+    # line numbers count the blank and comment lines between the two
+    with pytest.raises(ValueError, match=r"config line 4: repeated field 'A.ab'"):
+        CampaignConfig.from_text("A.ab = 2:3\n\n# again\nA.ab = 1:2\n")
+
+
 def test_config_comments_and_blanks_are_ignored():
     text = "# comment\n\nquota = 7\n"
     assert CampaignConfig.from_text(text).quota == 7

@@ -202,15 +202,23 @@ def test_avoid_missing_parameter_is_usage_error(tmp_path, capsys):
 
 
 CAP_VARIABLES = ("FACTORBENCH_CAP_N", "FACTORBENCH_CAP_DELETIONS")
-# the retired vertex-cap variable is refused whatever its value, like an unknown flag
-RETIRED = "environment variable FACTORBENCH_CAP_N is not read; FACTORBENCH_CAP_DELETIONS is the only cap"
 
 
-def cap_variable_error(name, complaint):
-    return RETIRED if name == "FACTORBENCH_CAP_N" else f"environment variable {name} {complaint}"
+def not_read(name):
+    # a set FACTORBENCH_CAP_* variable is refused whatever its value, like an unknown flag
+    return f"error: environment variable {name} is not read; --cap-deletions is the only cap\n"
 
 
-# subcommands that take no cap flag still read the cap variables
+def run_to_exit(capsys, argv, stdin, monkeypatch):
+    """``run_cli``, also where argparse refuses the command line by SystemExit."""
+    try:
+        return run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        return exc.code, out, err
+
+
+# subcommands that take no cap flag still refuse the cap variables
 CAPLESS_ARGVS = (
     ["toughness", "-"],
     ["factor", "-", "--a", "1", "--b", "2"],
@@ -229,81 +237,104 @@ CAPLESS_ARGVS = (
 def test_non_integer_cap_variable_is_usage_error(capsys, monkeypatch, name, argv):
     monkeypatch.setenv(name, "twelve")
     code, out, err = run_cli(capsys, argv, stdin="", monkeypatch=monkeypatch)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {cap_variable_error(name, 'must be an integer')}")
+    assert (code, out, err) == (2, "", not_read(name))
 
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_cap_deletions_defaults_to_the_avoidance_default():
+    from factorbench.avoidance import DEFAULT_CAP_DELETIONS
+
+    args = build_parser().parse_args(["avoid", "--mode", "edge"])
+    assert args.cap_deletions == DEFAULT_CAP_DELETIONS == 500
+
+
 def test_cap_variable_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is cached, but every call looks at the environment again;
     # K5 under vertex deletion with n = 1: five deletions
     argv = ["avoid", "-", "--mode", "vertices", "--a", "2", "--b", "3", "--n", "1"]
     monkeypatch.setenv("FACTORBENCH_CAP_DELETIONS", "1")
     code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
-    assert (code, out) == (3, "")
-    assert err == "error: 5 deletions exceed the cap of 1\n"
-    code, out, _ = run_cli(
-        capsys, argv + ["--cap-deletions", "10"], stdin="D~{\n", monkeypatch=monkeypatch
-    )
-    assert code == 0 and json.loads(out)["outcome"] == "verified"
+    assert (code, out, err) == (2, "", not_read("FACTORBENCH_CAP_DELETIONS"))
     monkeypatch.delenv("FACTORBENCH_CAP_DELETIONS")
+    code, out, err = run_cli(
+        capsys, argv + ["--cap-deletions", "1"], stdin="D~{\n", monkeypatch=monkeypatch
+    )
+    assert (code, out, err) == (3, "", "error: 5 deletions exceed the cap of 1\n")
     code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
     assert code == 0 and err == "" and json.loads(out)["outcome"] == "verified"
 
 
+# the end of stderr for each refusal; argparse prints its usage line first
 NEGATIVE_CAPS = {
-    # avoid has no --cap-n flag any more, so argparse refuses it (message None)
-    "flag-cap-n": (["--cap-n", "-1"], {}, None),
-    "flag-cap-deletions": (["--cap-deletions", "-5"], {}, "--cap-deletions must be >= 0, got -5"),
-    "env-cap-deletions": (
-        [], {"FACTORBENCH_CAP_DELETIONS": "-5"},
-        "environment variable FACTORBENCH_CAP_DELETIONS must be >= 0, got -5",
+    # avoid has no --cap-n flag any more
+    "flag-cap-n": (["--cap-n", "-1"], {}, "error: unrecognized arguments: --cap-n -1\n"),
+    "flag-cap-deletions": (
+        ["--cap-deletions", "-5"], {},
+        "error: argument --cap-deletions: must be an integer >= 0, got '-5'\n",
     ),
-    "env-cap-n": ([], {"FACTORBENCH_CAP_N": "-3"}, RETIRED),
+    "env-cap-deletions": (
+        [], {"FACTORBENCH_CAP_DELETIONS": "-5"}, not_read("FACTORBENCH_CAP_DELETIONS")
+    ),
+    "env-cap-n": ([], {"FACTORBENCH_CAP_N": "-3"}, not_read("FACTORBENCH_CAP_N")),
+}
+
+# the parameters of each avoid mode; the edge mode's check takes no cap
+AVOID_MODES = {
+    "vertices": ["--a", "2", "--b", "3", "--n", "1"],
+    "edges": ["--m", "2", "--n", "1"],
+    "matching": ["--a", "2", "--b", "3", "--n", "1"],
+    "edge": ["--edge", "0,1", "--a", "2", "--b", "3"],
 }
 
 
-@pytest.mark.parametrize("mode", ["vertices", "matching"])
+@pytest.mark.parametrize("mode", list(AVOID_MODES))
 @pytest.mark.parametrize("case", list(NEGATIVE_CAPS))
 def test_negative_cap_is_usage_error_before_any_work(capsys, monkeypatch, case, mode):
     import factorbench.avoidance as avoidance
+    import factorbench.cli as cli
+    import factorbench.factors as factors
+    from factorbench.avoidance import THEOREMS
 
     def no_work(*args, **kwargs):
-        raise AssertionError("premise or deletion work ran before the cap was refused")
+        raise AssertionError("input, premise, flow or deletion work ran before the refusal")
 
-    for check in ("check_vertex_deletion_all", "check_matching_deletion", "theorem_premises"):
-        monkeypatch.setattr(avoidance, check, no_work)
+    for row in THEOREMS.values():
+        if row.mode:
+            monkeypatch.setattr(avoidance, row.check, no_work)
+    monkeypatch.setattr(avoidance, "theorem_premises", no_work)
+    monkeypatch.setattr(factors, "solve", no_work)
+    monkeypatch.setattr(cli, "parse_graph6", no_work)
     flags, env, message = NEGATIVE_CAPS[case]
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    argv = ["avoid", "-", "--mode", mode, "--a", "2", "--b", "3", "--n", "1"] + flags
-    if message is None:
-        with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
-        out, err = capsys.readouterr()
-        assert (exc.value.code, out) == (2, "")
-        assert err.endswith("error: unrecognized arguments: --cap-n -1\n")
-    else:
-        code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    argv = ["avoid", "-", "--mode", mode, *AVOID_MODES[mode], *flags]
+    code, out, err = run_to_exit(capsys, argv, "D~{\n", monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.endswith(message)
 
 
 @pytest.mark.parametrize("name", CAP_VARIABLES)
-def test_negative_cap_variable_is_usage_error_on_every_subcommand(capsys, monkeypatch, name):
+def test_negative_cap_variable_is_usage_error_on_every_subcommand(
+    capsys, monkeypatch, tmp_path, name
+):
     import factorbench.cli as cli
+    from factorbench.campaign import CampaignConfig
 
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the cap variable was refused")
 
-    for work in ("isolated_toughness", "check_ab_factor", "extremal_sharpness"):
+    for work in ("_read_lines", "isolated_toughness", "check_ab_factor", "extremal_sharpness",
+                 "run_campaign"):
         monkeypatch.setattr(cli, work, no_work)
+    monkeypatch.setattr(CampaignConfig, "from_file", no_work)
     monkeypatch.setenv(name, "-3")
-    for argv in CAPLESS_ARGVS:
+    avoid = ["avoid", "-", "--mode", "vertices", *AVOID_MODES["vertices"]]
+    for argv in (*CAPLESS_ARGVS, avoid, ["campaign", str(tmp_path / "campaign.cfg")]):
         code, out, err = run_cli(capsys, argv, stdin="D~{\n", monkeypatch=monkeypatch)
-        assert (code, out) == (2, ""), argv
-        assert err == f"error: {cap_variable_error(name, 'must be >= 0, got -3')}\n"
+        assert (code, out, err) == (2, "", not_read(name)), argv
 
 
 @pytest.mark.parametrize(
@@ -447,10 +478,7 @@ def test_unread_cap_variable_is_refused(capsys, monkeypatch):
     k16 = "O~~~~~~~~~~~~~~~~~~~~\n"
     code, out, err = run_cli(capsys, argv, stdin=k16, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
-    assert err == (
-        "error: environment variable FACTORBENCH_CAP_DELETION is not read; "
-        "FACTORBENCH_CAP_DELETIONS is the only cap\n"
-    )
+    assert err == not_read("FACTORBENCH_CAP_DELETION")
     # with it unset, full-mode A answers K16, beyond the old 12-vertex cap
     monkeypatch.delenv("FACTORBENCH_CAP_DELETION")
     code, out, err = run_cli(capsys, argv, stdin=k16, monkeypatch=monkeypatch)
